@@ -13,8 +13,30 @@
 //! `Cout = A`) the wiring choice *is* the design. The paper does not publish
 //! its wiring; [`PortMap::PpSumCarry`] is the assignment that reproduces the
 //! paper's measured error characterization (Figure 3: ~96% of products
-//! inflated, MRED ≈ 0.33 — see DESIGN.md §4), and the alternatives are kept
-//! for the wiring-sensitivity ablation.
+//! inflated, MRED ≈ 0.33 — see the closed form below), and the alternatives
+//! are kept for the wiring-sensitivity ablation.
+//!
+//! # The AMA5 closed form
+//!
+//! With AMA5 cells under [`PortMap::PpSumCarry`], every cell passes the sum
+//! arriving from the row above through as its `Sum` and its partial-product
+//! bit out as its `Cout`. Row by row, the sum vector therefore telescopes to
+//! `pp_0` and the carry vector ends as `pp_{w-1} << 1`; the AMA5 CPA then
+//! forwards the carry vector. A `w`-bit product collapses to
+//!
+//! ```text
+//! approx(a, b) = if b_{w-1} == 1 { a << w } else { 0 }
+//! ```
+//!
+//! For normalized operands (`b_{w-1} = 1`) that is `a · 2^w`, so
+//! `a·b ≤ approx(a, b) ≤ 2·a·b`: the product is inflated, never deflated.
+//! In the binary32 FPM (`w = 24`, see [`crate::fpm`]) the significand
+//! product `s_a << 24` always has bit 47 set, so normalization re-packs
+//! `s_a` one exponent up: two normals multiply to `1.f_a · 2^(e_a + e_b -
+//! 126)` (biased), i.e. `approx = exact · 2 / 1.f_b` up to the truncated low
+//! partial product. The gate-level simulation stays the ground truth; the
+//! closed form is what the FPM fast path and the SIMD lanes compute, and
+//! tests pin the two to each other.
 
 use crate::adders::AdderKind;
 use crate::bitslice::eval_tt;
@@ -356,7 +378,7 @@ mod tests {
         }
     }
 
-    /// The closed form derived in DESIGN.md §4: with AMA5 cells, the sum
+    /// The closed form derived in the module docs: with AMA5 cells, the sum
     /// vector telescopes to `pp_0` and the carry vector ends as
     /// `pp_{w-1} << 1`; the AMA5 CPA then forwards the carry vector.
     #[test]

@@ -7,7 +7,7 @@
 //! Approximation replaces only it; sign, exponent, and normalization logic
 //! stay exact hardware.
 //!
-//! Fidelity notes (documented deviations, see DESIGN.md):
+//! Fidelity notes (documented deviations):
 //!
 //! * **Normalization assumes the exact-core invariant.** For exact cores the
 //!   48-bit significand product lies in `[2^46, 2^48)`, so the unit checks
@@ -120,7 +120,8 @@ pub struct FloatMultiplier {
 }
 
 /// Closed-form shortcuts for cores whose gate-level behaviour has been proven
-/// equivalent (see `fast_path_matches_gate_level` test and DESIGN.md §4).
+/// equivalent (see the `fast_path_matches_gate_level` test and the AMA5
+/// closed form in the [`crate::array`] module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FastPath {
     /// Simulate the core gate by gate.
@@ -368,7 +369,8 @@ impl<'a> FpmBatchKernel<'a> {
 impl FpmBatchKernel<'_> {
     /// The AMA5 closed form (`prod = s_a << 24`) makes the product of two
     /// normals a pure function of `a` and `b`'s sign/exponent fields:
-    /// `1.f_a · 2^(e_a + e_b - 126)` (derivation in DESIGN.md §4). `Normal`
+    /// `1.f_a · 2^(e_a + e_b - 126)` (derivation in the [`crate::array`]
+    /// module docs). `Normal`
     /// and `Zeros` rows run the lane-parallel block kernels of
     /// [`crate::simd`]; `Special` rows take the per-element sweep so Inf/NaN
     /// semantics come from the one shared slow path.
@@ -1006,7 +1008,8 @@ mod tests {
 
     #[test]
     fn ax_fpm_closed_form_is_exact_over_one_point_fb() {
-        // DESIGN.md §4: approx = exact * 2 / (1.f_b) up to the truncated
+        // The AMA5 closed form (`crate::array` module docs): approx =
+        // exact * 2 / (1.f_b) up to the truncated
         // low partial product.
         let m = FloatMultiplier::ax_fpm();
         let mut rng = rng();

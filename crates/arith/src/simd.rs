@@ -184,7 +184,8 @@ fn pack_lane(sign_bit: u32, exp: i32, frac: u32) -> u32 {
 }
 
 /// One canonical-AMA5 product of a fixed normal `a` (fields pre-extracted):
-/// `1.f_a · 2^(e_a + e_b - 126)` (DESIGN.md §4 — the `s_a << 24`
+/// `1.f_a · 2^(e_a + e_b - 126)` (the AMA5 closed form of
+/// [`crate::array`] — the `s_a << 24`
 /// significand product always normalizes). `MODE` arms only the reachable
 /// clamps; `ZSEL` adds the flush-to-zero select for zero/denormal `b`
 /// (forcing a non-positive exponent makes the clamp produce exactly the

@@ -1,6 +1,7 @@
 //! Ablation: cell port-map (wiring) sensitivity of the AMA5 array.
 //!
-//! DESIGN.md §4/§9: the paper's Figure-3 inflation depends on an undisclosed
+//! See the `da_arith::array` module docs: the paper's Figure-3 inflation
+//! depends on an undisclosed
 //! wiring choice. This bench sweeps every input-port permutation of the AMA5
 //! cells and reports the resulting multiplier-level error profile — showing
 //! that only the canonical wiring reproduces the published characterization,

@@ -2,8 +2,7 @@
 //! cache, and one experiment runner per table/figure of the paper's
 //! evaluation.
 //!
-//! The mapping from paper artifact to runner lives in [`experiments`] (and
-//! in DESIGN.md §5):
+//! The mapping from paper artifact to runner:
 //!
 //! | Paper artifact | Runner |
 //! |---|---|

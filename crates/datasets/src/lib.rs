@@ -2,8 +2,7 @@
 //!
 //! The reproduction environment has no dataset downloads, so this crate
 //! procedurally generates two classification tasks with the same tensor
-//! shapes, value ranges, and rough difficulty as the paper's datasets
-//! (substitution documented in DESIGN.md §3):
+//! shapes, value ranges, and rough difficulty as the paper's datasets:
 //!
 //! * [`digits::synth_digits`] — "SynthDigits": 28×28 grayscale handwritten-
 //!   style digits rasterized from stroke skeletons with affine jitter,

@@ -74,6 +74,13 @@
 //!   decides per layer, so it is never worse than Int8 in accuracy by more
 //!   than the threshold).
 //!
+//! Both quantized precisions come out of one walk over the f32 plan, and
+//! a layer's int4/int8 choice is one decision inside it: every conv/dense
+//! layer becomes a single quantized step whose operand is either int8 codes
+//! with a 256×256 table (the gather) or int4 codes with a 256×16 table (the
+//! shuffle). Everything else about the step — shapes, bias, fused ReLU,
+//! output stage — is shared, and so is the executor's epilogue.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -137,6 +144,22 @@ fn qconv_tile_width(p_total: usize) -> usize {
     }
     let tiles = p_total.div_ceil(QCONV_TILE);
     p_total.div_ceil(tiles).div_ceil(16) * 16
+}
+
+/// `(u8 patch-gather, f32 accumulator)` lengths one quantized conv's tiles
+/// need, independent of the item group: columns stay under the
+/// [`QCONV_TILE`] cap.
+fn qconv_scratch(weights: &QWeights, k: usize, cout: usize, p_total: usize) -> (usize, usize) {
+    let cols = match weights {
+        // Large planes split into balanced tiles; small planes share one
+        // tile across an item group.
+        QWeights::Byte { .. } if p_total >= QCONV_TILE => qconv_tile_width(p_total),
+        QWeights::Byte { .. } => (QCONV_TILE / p_total) * p_total,
+        // Transposed tiling: pixel rows × tap columns, with the accumulator
+        // `cout` wide per pixel row.
+        QWeights::Nibble { .. } => QCONV_TILE.min(p_total).max(1),
+    };
+    (k * cols, cout * cols)
 }
 
 /// Below this many MACs per batch, `predict_batch` runs items sequentially
@@ -268,20 +291,19 @@ pub(crate) enum Step {
     QuantAct {
         bits: u32,
     },
-    // ----- int8 steps (present only in `PlanPrecision::Int8` plans) -----
+    // ----- quantized steps (present only in Int8 / Int4Weights plans) -----
     /// Quantize the `f32` input item into activation codes (always the
     /// first step of a quantized plan).
     QuantizeInput {
         params: QuantParams,
     },
-    /// Fused quantized conv: LUT-gather GEMM over weight/patch codes with
-    /// `f32` accumulation, then bias (+ ReLU) and the output stage.
+    /// Fused quantized conv: a LUT GEMM over weight/patch codes with `f32`
+    /// accumulation, then bias (+ ReLU) and the output stage. `Byte`
+    /// weights run the int8 gather with out-channels as rows; `Nibble`
+    /// weights run the int4 shuffle *transposed* — patch pixels as rows,
+    /// out-channels along the shuffle axis.
     QConv {
-        /// Weight codes, `[Cout, Cin·Kh·Kw]` row-major (the LUT's `a` side).
-        qweight: Storage<u8>,
-        /// Product table over (weight, activation) codes (shared across
-        /// steps with identical quantizer pairs).
-        lut: Arc<ProductLut>,
+        weights: QWeights,
         bias: Vec<f32>,
         cout: usize,
         cin: usize,
@@ -292,50 +314,12 @@ pub(crate) enum Step {
         fuse_relu: bool,
         out: QOut,
     },
-    /// Fused quantized dense layer: the `rows == 1` LUT GEMM with the
-    /// activation codes as the shared (`a`) operand — mirroring the f32
-    /// reference, whose dense GEMM also makes the activation the left
-    /// operand (approximate multipliers need not be commutative).
+    /// Fused quantized dense layer: a LUT GEMM with the activation codes as
+    /// the left operand — mirroring the f32 reference, whose dense GEMM
+    /// also makes the activation the left operand (approximate multipliers
+    /// need not be commutative).
     QDense {
-        /// Pre-transposed weight codes, `[In, Out]` row-major (the `b` side).
-        qwt: Storage<u8>,
-        /// Product table over (activation, weight) codes (shared across
-        /// steps with identical quantizer pairs).
-        lut: Arc<ProductLut>,
-        bias: Vec<f32>,
-        in_features: usize,
-        out_features: usize,
-        fuse_relu: bool,
-        out: QOut,
-    },
-    /// Fused **int4-weight** quantized conv, run *transposed*: patch pixels
-    /// are the GEMM rows and out-channels the vectorized columns, so the
-    /// 4-bit weight codes vary along the in-register shuffle axis (see
-    /// [`da_arith::quantized::lut4_gemm`]).
-    QConv4 {
-        /// Transposed weight codes, `[Cin·Kh·Kw, Cout]` row-major, low
-        /// nibble.
-        qweight_t: Storage<u8>,
-        /// 256×16 product table over (weight, activation) codes.
-        lut: Arc<ProductLut4>,
-        bias: Vec<f32>,
-        cout: usize,
-        cin: usize,
-        kh: usize,
-        kw: usize,
-        stride: usize,
-        pad: usize,
-        fuse_relu: bool,
-        out: QOut,
-    },
-    /// Fused int4-weight dense layer: a multi-row shuffle GEMM with the
-    /// activation codes as rows (the multiplier's left operand, mirroring
-    /// the f32 reference) and weight codes along the shuffle axis.
-    QDense4 {
-        /// Pre-transposed weight codes `[In, Out]` row-major, low nibble.
-        qwt: Storage<u8>,
-        /// 256×16 product table over (activation, weight) codes.
-        lut: Arc<ProductLut4>,
+        weights: QWeights,
         bias: Vec<f32>,
         in_features: usize,
         out_features: usize,
@@ -360,6 +344,26 @@ pub(crate) enum Step {
     },
 }
 
+impl Step {
+    /// The operand of a quantized conv/dense step (`None` for every other
+    /// step).
+    fn q_weights(&self) -> Option<&QWeights> {
+        match self {
+            Step::QConv { weights, .. } | Step::QDense { weights, .. } => Some(weights),
+            _ => None,
+        }
+    }
+
+    /// The operand and epilogue of a quantized conv/dense step, mutably.
+    fn q_gemm(&mut self) -> Option<(&mut QWeights, &mut bool, &mut QOut)> {
+        match self {
+            Step::QConv { weights, fuse_relu, out, .. }
+            | Step::QDense { weights, fuse_relu, out, .. } => Some((weights, fuse_relu, out)),
+            _ => None,
+        }
+    }
+}
+
 /// Where a quantized conv/dense step sends its epilogue output.
 #[derive(Clone, Copy)]
 pub(crate) enum QOut {
@@ -367,6 +371,20 @@ pub(crate) enum QOut {
     Codes(QuantParams),
     /// Leave `f32` (the plan's final logits).
     Float,
+}
+
+/// Weight codes of a quantized conv/dense step with the product table that
+/// consumes them: the only fields in which the int8 and int4 forms of a
+/// layer differ.
+pub(crate) enum QWeights {
+    /// Int8 codes for the [`lut_gemm`] gather: conv `[Cout, Cin·Kh·Kw]`
+    /// (the table's `a` side), dense pre-transposed `[In, Out]` (the `b`
+    /// side). Tables are shared across steps with identical quantizer pairs.
+    Byte { codes: Storage<u8>, lut: Arc<ProductLut> },
+    /// Int4 codes in the low nibble for the [`lut4_gemm`] shuffle: conv
+    /// transposed `[Cin·Kh·Kw, Cout]`, dense `[In, Out]`; the 256×16 table
+    /// is indexed by (activation, weight) code.
+    Nibble { codes: Storage<u8>, lut: Arc<ProductLut4> },
 }
 
 /// Numeric mode a plan was compiled in.
@@ -599,10 +617,10 @@ pub struct InferencePlan {
 }
 
 impl InferencePlan {
-    /// Assemble a plan directly from executable steps — the snapshot-load
-    /// path (`crate::snapshot`), which reconstructs steps over mapped
-    /// storage. Derived state (`last_write`, layout cache, workspace pool)
-    /// is rebuilt exactly as the compile paths build it.
+    /// Assemble a plan from executable steps: every compile path builds
+    /// through here, and so does the snapshot loader (`crate::snapshot`),
+    /// which reconstructs steps over mapped storage. Derived state
+    /// (`last_write`, layout cache, workspace pool) starts fresh.
     pub(crate) fn from_steps(
         multiplier: Option<Arc<dyn Multiplier>>,
         steps: Vec<Step>,
@@ -713,16 +731,7 @@ impl InferencePlan {
                 CompiledLayer::QuantAct { bits } => steps.push(Step::QuantAct { bits }),
             }
         }
-        let last_write = steps.iter().rposition(|s| !matches!(s, Step::Flatten));
-        Some(InferencePlan {
-            multiplier,
-            steps,
-            last_write,
-            precision: PlanPrecision::F32,
-            layout: Mutex::new(None),
-            pool: Mutex::new(Vec::new()),
-            workspace_allocs: AtomicU64::new(0),
-        })
+        Some(InferencePlan::from_steps(multiplier, steps, PlanPrecision::F32))
     }
 
     /// Compile `network` into an **int8 serving plan**: weights are
@@ -757,96 +766,7 @@ impl InferencePlan {
         multiplier: Option<Arc<dyn Multiplier>>,
         calibration: &Tensor,
     ) -> Option<InferencePlan> {
-        let f32_plan = InferencePlan::compile(network, multiplier.clone())?;
-        // Every step must have a quantized form before paying for the
-        // calibration pass and the LUT builds.
-        if f32_plan
-            .steps
-            .iter()
-            .any(|s| matches!(s, Step::BatchNorm { .. } | Step::QuantAct { .. }))
-        {
-            return None;
-        }
-        let (input_range, step_ranges) = f32_plan.observe_ranges(calibration);
-        let lut_mult: Arc<dyn Multiplier> =
-            multiplier.clone().unwrap_or_else(|| Arc::new(ExactMultiplier));
-        let mut lut_cache = LutCache::default();
-
-        let mut act = QuantParams::from_range(input_range.0, input_range.1);
-        let mut steps = vec![Step::QuantizeInput { params: act }];
-        for (t, step) in f32_plan.steps.iter().enumerate() {
-            match step {
-                Step::Conv { weights, bias, cout, cin, kh, kw, stride, pad, fuse_relu } => {
-                    let wmat: Vec<f32> = match weights {
-                        ConvWeights::Raw(w) => w.as_slice().to_vec(),
-                        ConvWeights::Prepared(p) => (0..p.rows())
-                            .flat_map(|r| p.row(r).iter().map(|op| op.value()))
-                            .collect(),
-                    };
-                    let (wlo, whi) = QuantParams::observe(&wmat);
-                    let wq = QuantParams::from_range(wlo, whi);
-                    let qweight: Vec<u8> = wmat.iter().map(|&v| wq.quantize(v)).collect();
-                    let (olo, ohi) = step_ranges[t];
-                    let out_params = QuantParams::from_range(olo, ohi);
-                    steps.push(Step::QConv {
-                        qweight: Storage::Owned(qweight),
-                        lut: lut_cache.int8(&*lut_mult, wq, act),
-                        bias: bias.clone(),
-                        cout: *cout,
-                        cin: *cin,
-                        kh: *kh,
-                        kw: *kw,
-                        stride: *stride,
-                        pad: *pad,
-                        fuse_relu: *fuse_relu,
-                        out: QOut::Codes(out_params),
-                    });
-                    act = out_params;
-                }
-                Step::Dense { wt, bias, in_features, out_features, fuse_relu, .. } => {
-                    let wt = wt.as_slice();
-                    let (wlo, whi) = QuantParams::observe(wt);
-                    let wq = QuantParams::from_range(wlo, whi);
-                    let qwt: Vec<u8> = wt.iter().map(|&v| wq.quantize(v)).collect();
-                    let (olo, ohi) = step_ranges[t];
-                    let out_params = QuantParams::from_range(olo, ohi);
-                    steps.push(Step::QDense {
-                        qwt: Storage::Owned(qwt),
-                        lut: lut_cache.int8(&*lut_mult, act, wq),
-                        bias: bias.clone(),
-                        in_features: *in_features,
-                        out_features: *out_features,
-                        fuse_relu: *fuse_relu,
-                        out: QOut::Codes(out_params),
-                    });
-                    act = out_params;
-                }
-                Step::MaxPool { window, stride } => {
-                    steps.push(Step::QMaxPool { window: *window, stride: *stride });
-                }
-                Step::Relu => steps.push(Step::QRelu { zero_point: act.zero_point() }),
-                Step::Flatten => steps.push(Step::Flatten),
-                Step::BatchNorm { .. } | Step::QuantAct { .. } => return None,
-                _ => unreachable!("f32 plans contain only f32 steps"),
-            }
-        }
-        // The plan's logits are f32: a final conv/dense step emits them
-        // directly from its accumulator; anything else gets an explicit
-        // decode step.
-        match steps.iter_mut().rev().find(|s| !matches!(s, Step::Flatten)) {
-            Some(Step::QConv { out, .. }) | Some(Step::QDense { out, .. }) => *out = QOut::Float,
-            _ => steps.push(Step::QDequantize { params: act }),
-        }
-        let last_write = steps.iter().rposition(|s| !matches!(s, Step::Flatten));
-        Some(InferencePlan {
-            multiplier,
-            steps,
-            last_write,
-            precision: PlanPrecision::Int8,
-            layout: Mutex::new(None),
-            pool: Mutex::new(Vec::new()),
-            workspace_allocs: AtomicU64::new(0),
-        })
+        InferencePlan::compile_q(network, multiplier, calibration, PlanPrecision::Int8)
     }
 
     /// Compile `network` into an **int4-weight serving plan**: like
@@ -878,7 +798,23 @@ impl InferencePlan {
         multiplier: Option<Arc<dyn Multiplier>>,
         calibration: &Tensor,
     ) -> Option<InferencePlan> {
+        InferencePlan::compile_q(network, multiplier, calibration, PlanPrecision::Int4Weights)
+    }
+
+    /// The one quantized compiler behind both public entry points: walk the
+    /// f32 plan once, quantizing each conv/dense weight tensor per tensor
+    /// into the int8 (`Byte`) form. For `Int4Weights` it also builds the
+    /// int4 (`Nibble`) candidate and keeps whichever the calibration gap
+    /// allows, so an int8 compile does no int4 work at all.
+    fn compile_q(
+        network: &Network,
+        multiplier: Option<Arc<dyn Multiplier>>,
+        calibration: &Tensor,
+        precision: PlanPrecision,
+    ) -> Option<InferencePlan> {
         let f32_plan = InferencePlan::compile(network, multiplier.clone())?;
+        // Every step must have a quantized form before paying for the
+        // calibration pass and the LUT builds.
         if f32_plan
             .steps
             .iter()
@@ -889,27 +825,19 @@ impl InferencePlan {
         let (input_range, step_ranges) = f32_plan.observe_ranges(calibration);
         let lut_mult: Arc<dyn Multiplier> =
             multiplier.clone().unwrap_or_else(|| Arc::new(ExactMultiplier));
-        let mut lut_cache = LutCache::default();
-
-        let layout = f32_plan.layout_for(&calibration.shape()[1..]);
-        let item_in: usize = layout.item_shape.iter().product();
-        let ncal = calibration.shape()[0];
-        let xd = calibration.data();
+        let lut_mult = &*lut_mult;
+        let mut luts = LutCache::default();
+        let int4 = precision == PlanPrecision::Int4Weights;
 
         let mut act = QuantParams::from_range(input_range.0, input_range.1);
-        // Calibration activations as codes, `[ncal × current_len]`, advanced
-        // through each *chosen* step so downstream gap measurements see the
-        // codes the compiled plan will actually produce.
-        let mut cal = vec![0u8; ncal * item_in];
-        act.quantize_slice(&xd[..ncal * item_in], &mut cal);
-        let mut next_cal: Vec<u8> = Vec::new();
-
+        let mut cal = int4.then(|| {
+            let layout = f32_plan.layout_for(&calibration.shape()[1..]);
+            CalibrationCodes::new(calibration, layout, act)
+        });
         let mut steps = vec![Step::QuantizeInput { params: act }];
         for (t, step) in f32_plan.steps.iter().enumerate() {
-            let shapes = &layout.resolved[t];
-            let in_len: usize = shapes.in_shape.iter().product();
-            let out_len: usize = shapes.out_shape.iter().product();
-            match step {
+            let out_params = QuantParams::from_range(step_ranges[t].0, step_ranges[t].1);
+            let (mut qstep, nibble) = match step {
                 Step::Conv { weights, bias, cout, cin, kh, kw, stride, pad, fuse_relu } => {
                     let wmat: Vec<f32> = match weights {
                         ConvWeights::Raw(w) => w.as_slice().to_vec(),
@@ -917,238 +845,89 @@ impl InferencePlan {
                             .flat_map(|r| p.row(r).iter().map(|op| op.value()))
                             .collect(),
                     };
-                    let k = cin * kh * kw;
                     let (wlo, whi) = QuantParams::observe(&wmat);
                     let wq = QuantParams::from_range(wlo, whi);
-                    let qweight: Vec<u8> = wmat.iter().map(|&v| wq.quantize(v)).collect();
-                    let w4 = QuantParams4::from_range(wlo, whi);
-                    let q4: Vec<u8> = wmat.iter().map(|&v| w4.quantize(v)).collect();
-                    let mut qweight_t = vec![0u8; k * cout];
-                    for co in 0..*cout {
-                        for kk in 0..k {
-                            qweight_t[kk * cout + co] = q4[co * k + kk];
+                    let codes = wmat.iter().map(|&v| wq.quantize(v)).collect();
+                    let byte = QWeights::Byte {
+                        codes: Storage::Owned(codes),
+                        lut: luts.int8(lut_mult, wq, act),
+                    };
+                    let nibble = int4.then(|| {
+                        // Transposed to `[k, Cout]`: the 4-bit codes vary
+                        // along the shuffle axis.
+                        let w4 = QuantParams4::from_range(wlo, whi);
+                        let k = cin * kh * kw;
+                        let mut codes = vec![0u8; k * cout];
+                        for (i, &v) in wmat.iter().enumerate() {
+                            codes[(i % k) * cout + i / k] = w4.quantize(v);
                         }
-                    }
-                    let lut8 = lut_cache.int8(&*lut_mult, wq, act);
-                    let lut4 = lut_cache.int4(&*lut_mult, act, w4, Lut4Order::WeightsLeft);
-
-                    // Gap measurement: both candidates over the calibration
-                    // codes, compared post-bias pre-activation.
-                    let (h, w) = (shapes.in_shape[1], shapes.in_shape[2]);
-                    let (oh, ow) = (shapes.out_shape[1], shapes.out_shape[2]);
-                    let p_total = oh * ow;
-                    let pad_code = act.zero_point();
-                    let mut g8 = vec![0u8; k * p_total];
-                    let mut g4 = vec![0u8; p_total * k];
-                    let mut all8 = vec![0.0f32; ncal * cout * p_total];
-                    let mut all4 = vec![0.0f32; ncal * p_total * cout];
-                    for i in 0..ncal {
-                        let item = &cal[i * in_len..(i + 1) * in_len];
-                        gather_patches_u8(
-                            item, *cin, h, w, *kh, *kw, *stride, *pad, ow, 0, p_total, p_total, 0,
-                            &mut g8, pad_code,
-                        );
-                        let acc8 = &mut all8[i * cout * p_total..(i + 1) * cout * p_total];
-                        lut_gemm(&lut8, &qweight, *cout, k, &g8, p_total, acc8, p_total);
-                        gather_patch_rows_u8(
-                            item, *cin, h, w, *kh, *kw, *stride, *pad, ow, 0, p_total, &mut g4,
-                            pad_code,
-                        );
-                        let acc4 = &mut all4[i * p_total * cout..(i + 1) * p_total * cout];
-                        lut4_gemm(&lut4, &g4, p_total, k, &qweight_t, *cout, acc4, *cout);
-                    }
-                    let mut spread = (f32::INFINITY, f32::NEG_INFINITY);
-                    let mut max_diff = 0.0f32;
-                    for i in 0..ncal {
-                        for co in 0..*cout {
-                            for p in 0..p_total {
-                                let y8 = all8[(i * cout + co) * p_total + p] + bias[co];
-                                let y4 = all4[(i * p_total + p) * cout + co] + bias[co];
-                                spread.0 = spread.0.min(y8);
-                                spread.1 = spread.1.max(y8);
-                                max_diff = max_diff.max((y4 - y8).abs());
-                            }
+                        QWeights::Nibble {
+                            codes: Storage::Owned(codes),
+                            lut: luts.int4(lut_mult, act, w4, Lut4Order::WeightsLeft),
                         }
-                    }
-                    let (olo, ohi) = step_ranges[t];
-                    let out_params = QuantParams::from_range(olo, ohi);
-                    let use_int4 = gap_accepts_int4(max_diff, spread);
-                    // Advance calibration codes through the chosen layer.
-                    next_cal.clear();
-                    next_cal.resize(ncal * out_len, 0);
-                    for i in 0..ncal {
-                        for co in 0..*cout {
-                            for p in 0..p_total {
-                                let acc = if use_int4 {
-                                    all4[(i * p_total + p) * cout + co]
-                                } else {
-                                    all8[(i * cout + co) * p_total + p]
-                                };
-                                let v = acc + bias[co];
-                                let v = if *fuse_relu { v.max(0.0) } else { v };
-                                next_cal[i * out_len + co * p_total + p] = out_params.quantize(v);
-                            }
-                        }
-                    }
-                    std::mem::swap(&mut cal, &mut next_cal);
-                    if use_int4 {
-                        steps.push(Step::QConv4 {
-                            qweight_t: Storage::Owned(qweight_t),
-                            lut: lut4,
-                            bias: bias.clone(),
-                            cout: *cout,
-                            cin: *cin,
-                            kh: *kh,
-                            kw: *kw,
-                            stride: *stride,
-                            pad: *pad,
-                            fuse_relu: *fuse_relu,
-                            out: QOut::Codes(out_params),
-                        });
-                    } else {
-                        steps.push(Step::QConv {
-                            qweight: Storage::Owned(qweight),
-                            lut: lut8,
-                            bias: bias.clone(),
-                            cout: *cout,
-                            cin: *cin,
-                            kh: *kh,
-                            kw: *kw,
-                            stride: *stride,
-                            pad: *pad,
-                            fuse_relu: *fuse_relu,
-                            out: QOut::Codes(out_params),
-                        });
-                    }
-                    act = out_params;
+                    });
+                    let qconv = Step::QConv {
+                        weights: byte,
+                        bias: bias.clone(),
+                        cout: *cout,
+                        cin: *cin,
+                        kh: *kh,
+                        kw: *kw,
+                        stride: *stride,
+                        pad: *pad,
+                        fuse_relu: *fuse_relu,
+                        out: QOut::Codes(out_params),
+                    };
+                    (qconv, nibble)
                 }
                 Step::Dense { wt, bias, in_features, out_features, fuse_relu, .. } => {
                     let wt = wt.as_slice();
-                    let (inf, outf) = (*in_features, *out_features);
                     let (wlo, whi) = QuantParams::observe(wt);
                     let wq = QuantParams::from_range(wlo, whi);
-                    let qwt: Vec<u8> = wt.iter().map(|&v| wq.quantize(v)).collect();
-                    let w4 = QuantParams4::from_range(wlo, whi);
-                    let qwt4: Vec<u8> = wt.iter().map(|&v| w4.quantize(v)).collect();
-                    let lut8 = lut_cache.int8(&*lut_mult, act, wq);
-                    let lut4 = lut_cache.int4(&*lut_mult, act, w4, Lut4Order::ActivationsLeft);
-
-                    let mut all8 = vec![0.0f32; ncal * outf];
-                    for i in 0..ncal {
-                        lut_gemm(
-                            &lut8,
-                            &cal[i * inf..(i + 1) * inf],
-                            1,
-                            inf,
-                            &qwt,
-                            outf,
-                            &mut all8[i * outf..(i + 1) * outf],
-                            outf,
-                        );
-                    }
-                    let mut all4 = vec![0.0f32; ncal * outf];
-                    lut4_gemm(&lut4, &cal[..ncal * inf], ncal, inf, &qwt4, outf, &mut all4, outf);
-                    let mut spread = (f32::INFINITY, f32::NEG_INFINITY);
-                    let mut max_diff = 0.0f32;
-                    for i in 0..ncal * outf {
-                        let b = bias[i % outf];
-                        let (y8, y4) = (all8[i] + b, all4[i] + b);
-                        spread.0 = spread.0.min(y8);
-                        spread.1 = spread.1.max(y8);
-                        max_diff = max_diff.max((y4 - y8).abs());
-                    }
-                    let (olo, ohi) = step_ranges[t];
-                    let out_params = QuantParams::from_range(olo, ohi);
-                    let use_int4 = gap_accepts_int4(max_diff, spread);
-                    next_cal.clear();
-                    next_cal.resize(ncal * out_len, 0);
-                    for i in 0..ncal * outf {
-                        let acc = if use_int4 { all4[i] } else { all8[i] };
-                        let v = acc + bias[i % outf];
-                        let v = if *fuse_relu { v.max(0.0) } else { v };
-                        next_cal[i] = out_params.quantize(v);
-                    }
-                    std::mem::swap(&mut cal, &mut next_cal);
-                    if use_int4 {
-                        steps.push(Step::QDense4 {
-                            qwt: Storage::Owned(qwt4),
-                            lut: lut4,
-                            bias: bias.clone(),
-                            in_features: inf,
-                            out_features: outf,
-                            fuse_relu: *fuse_relu,
-                            out: QOut::Codes(out_params),
-                        });
-                    } else {
-                        steps.push(Step::QDense {
-                            qwt: Storage::Owned(qwt),
-                            lut: lut8,
-                            bias: bias.clone(),
-                            in_features: inf,
-                            out_features: outf,
-                            fuse_relu: *fuse_relu,
-                            out: QOut::Codes(out_params),
-                        });
-                    }
-                    act = out_params;
+                    let byte = QWeights::Byte {
+                        codes: Storage::Owned(wt.iter().map(|&v| wq.quantize(v)).collect()),
+                        lut: luts.int8(lut_mult, act, wq),
+                    };
+                    let nibble = int4.then(|| {
+                        let w4 = QuantParams4::from_range(wlo, whi);
+                        QWeights::Nibble {
+                            codes: Storage::Owned(wt.iter().map(|&v| w4.quantize(v)).collect()),
+                            lut: luts.int4(lut_mult, act, w4, Lut4Order::ActivationsLeft),
+                        }
+                    });
+                    let qdense = Step::QDense {
+                        weights: byte,
+                        bias: bias.clone(),
+                        in_features: *in_features,
+                        out_features: *out_features,
+                        fuse_relu: *fuse_relu,
+                        out: QOut::Codes(out_params),
+                    };
+                    (qdense, nibble)
                 }
                 Step::MaxPool { window, stride } => {
-                    let (c, h, w) = (shapes.in_shape[0], shapes.in_shape[1], shapes.in_shape[2]);
-                    let (oh, ow) = (shapes.out_shape[1], shapes.out_shape[2]);
-                    next_cal.clear();
-                    next_cal.resize(ncal * out_len, 0);
-                    for i in 0..ncal {
-                        let src = &cal[i * in_len..(i + 1) * in_len];
-                        let dst = &mut next_cal[i * out_len..(i + 1) * out_len];
-                        for ci in 0..c {
-                            let plane = &src[ci * h * w..(ci + 1) * h * w];
-                            for oy in 0..oh {
-                                for ox in 0..ow {
-                                    let mut best = 0u8;
-                                    for ky in 0..*window {
-                                        for kx in 0..*window {
-                                            let v =
-                                                plane[(oy * stride + ky) * w + (ox * stride + kx)];
-                                            best = best.max(v);
-                                        }
-                                    }
-                                    dst[(ci * oh + oy) * ow + ox] = best;
-                                }
-                            }
-                        }
-                    }
-                    std::mem::swap(&mut cal, &mut next_cal);
-                    steps.push(Step::QMaxPool { window: *window, stride: *stride });
+                    (Step::QMaxPool { window: *window, stride: *stride }, None)
                 }
-                Step::Relu => {
-                    let zp = act.zero_point();
-                    for v in cal.iter_mut() {
-                        *v = (*v).max(zp);
-                    }
-                    steps.push(Step::QRelu { zero_point: zp });
-                }
-                Step::Flatten => steps.push(Step::Flatten),
-                Step::BatchNorm { .. } | Step::QuantAct { .. } => return None,
-                _ => unreachable!("f32 plans contain only f32 steps"),
+                Step::Relu => (Step::QRelu { zero_point: act.zero_point() }, None),
+                Step::Flatten => (Step::Flatten, None),
+                _ => unreachable!("f32 plans hold only f32 steps, and the unquantizable are out"),
+            };
+            if let Some(cal) = &mut cal {
+                cal.advance(t, &mut qstep, nibble);
             }
+            if matches!(qstep, Step::QConv { .. } | Step::QDense { .. }) {
+                act = out_params;
+            }
+            steps.push(qstep);
         }
-        match steps.iter_mut().rev().find(|s| !matches!(s, Step::Flatten)) {
-            Some(Step::QConv { out, .. })
-            | Some(Step::QDense { out, .. })
-            | Some(Step::QConv4 { out, .. })
-            | Some(Step::QDense4 { out, .. }) => *out = QOut::Float,
-            _ => steps.push(Step::QDequantize { params: act }),
+        // The plan's logits are f32: a final conv/dense step emits them
+        // directly from its accumulator; anything else gets an explicit
+        // decode step.
+        match steps.iter_mut().rev().find(|s| !matches!(s, Step::Flatten)).and_then(Step::q_gemm) {
+            Some((_, _, out)) => *out = QOut::Float,
+            None => steps.push(Step::QDequantize { params: act }),
         }
-        let last_write = steps.iter().rposition(|s| !matches!(s, Step::Flatten));
-        Some(InferencePlan {
-            multiplier,
-            steps,
-            last_write,
-            precision: PlanPrecision::Int4Weights,
-            layout: Mutex::new(None),
-            pool: Mutex::new(Vec::new()),
-            workspace_allocs: AtomicU64::new(0),
-        })
+        Some(InferencePlan::from_steps(multiplier, steps, precision))
     }
 
     /// Run `x` through the f32 steps once, recording the `(min, max)` of the
@@ -1210,14 +989,11 @@ impl InferencePlan {
         let mut output_features = None;
         for s in &self.steps {
             match s {
-                Step::Conv { cin, .. } | Step::QConv { cin, .. } | Step::QConv4 { cin, .. } => {
-                    if input.is_none() {
-                        input = Some(PlanInput::Conv { cin: *cin });
-                    }
+                Step::Conv { cin, .. } | Step::QConv { cin, .. } if input.is_none() => {
+                    input = Some(PlanInput::Conv { cin: *cin });
                 }
                 Step::Dense { in_features, out_features, .. }
-                | Step::QDense { in_features, out_features, .. }
-                | Step::QDense4 { in_features, out_features, .. } => {
+                | Step::QDense { in_features, out_features, .. } => {
                     if input.is_none() {
                         input = Some(PlanInput::Dense { features: *in_features });
                     }
@@ -1240,10 +1016,10 @@ impl InferencePlan {
     pub fn int4_layer_mix(&self) -> (usize, usize) {
         let (mut int4, mut int8) = (0usize, 0usize);
         for s in &self.steps {
-            match s {
-                Step::QConv4 { .. } | Step::QDense4 { .. } => int4 += 1,
-                Step::QConv { .. } | Step::QDense { .. } => int8 += 1,
-                _ => {}
+            match s.q_weights() {
+                Some(QWeights::Nibble { .. }) => int4 += 1,
+                Some(QWeights::Byte { .. }) => int8 += 1,
+                None => {}
             }
         }
         (int4, int8)
@@ -1254,29 +1030,21 @@ impl InferencePlan {
     /// drops below the first when layers with identical quantizer pairs
     /// share one `Arc`'d table (see [`InferencePlan::compile_quantized`]).
     pub fn product_lut_sharing(&self) -> (usize, usize) {
+        // Both table kinds are compared by address: distinct live
+        // allocations never share one.
+        let mut seen: Vec<*const ()> = Vec::new();
         let mut steps = 0usize;
-        let mut seen8: Vec<*const ProductLut> = Vec::new();
-        let mut seen4: Vec<*const ProductLut4> = Vec::new();
-        for s in &self.steps {
-            match s {
-                Step::QConv { lut, .. } | Step::QDense { lut, .. } => {
-                    steps += 1;
-                    let p = Arc::as_ptr(lut);
-                    if !seen8.contains(&p) {
-                        seen8.push(p);
-                    }
-                }
-                Step::QConv4 { lut, .. } | Step::QDense4 { lut, .. } => {
-                    steps += 1;
-                    let p = Arc::as_ptr(lut);
-                    if !seen4.contains(&p) {
-                        seen4.push(p);
-                    }
-                }
-                _ => {}
+        for weights in self.steps.iter().filter_map(Step::q_weights) {
+            steps += 1;
+            let p = match weights {
+                QWeights::Byte { lut, .. } => Arc::as_ptr(lut).cast(),
+                QWeights::Nibble { lut, .. } => Arc::as_ptr(lut).cast(),
+            };
+            if !seen.contains(&p) {
+                seen.push(p);
             }
         }
-        (steps, seen8.len() + seen4.len())
+        (steps, seen.len())
     }
 
     /// The multiplier the plan was compiled against.
@@ -1415,8 +1183,7 @@ impl InferencePlan {
             let in_shape = shape.clone();
             let out_shape = match step {
                 Step::Conv { cout, cin, kh, kw, stride, pad, .. }
-                | Step::QConv { cout, cin, kh, kw, stride, pad, .. }
-                | Step::QConv4 { cout, cin, kh, kw, stride, pad, .. } => {
+                | Step::QConv { cout, cin, kh, kw, stride, pad, .. } => {
                     assert_eq!(in_shape.len(), 3, "Conv2d expects [N, C, H, W]");
                     assert_eq!(in_shape[0], *cin, "input channel mismatch");
                     let geom = ConvGeometry {
@@ -1427,24 +1194,10 @@ impl InferencePlan {
                     };
                     let (oh, ow) = geom.output();
                     let k = cin * kh * kw;
-                    if matches!(step, Step::QConv { .. }) {
-                        // Small planes share one tile across an item group;
-                        // large planes split into balanced tiles. Either
-                        // way columns stay under the QCONV_TILE cap.
-                        let p_total = oh * ow;
-                        let tile_cap = if p_total >= QCONV_TILE {
-                            qconv_tile_width(p_total)
-                        } else {
-                            (QCONV_TILE / p_total) * p_total
-                        };
-                        qgather_len = qgather_len.max(k * tile_cap);
-                        facc_len = facc_len.max(cout * tile_cap);
-                    } else if matches!(step, Step::QConv4 { .. }) {
-                        // Transposed tiling: pixel rows × tap columns, with
-                        // the accumulator `cout` wide per pixel row.
-                        let p_tile = QCONV_TILE.min(oh * ow).max(1);
-                        qgather_len = qgather_len.max(p_tile * k);
-                        facc_len = facc_len.max(p_tile * cout);
+                    if let Step::QConv { weights, .. } = step {
+                        let (g, f) = qconv_scratch(weights, k, *cout, oh * ow);
+                        qgather_len = qgather_len.max(g);
+                        facc_len = facc_len.max(f);
                     } else {
                         gather_len = gather_len.max(k * CONV_TILE.min(oh * ow));
                     }
@@ -1452,11 +1205,10 @@ impl InferencePlan {
                     vec![*cout, oh, ow]
                 }
                 Step::Dense { in_features, out_features, .. }
-                | Step::QDense { in_features, out_features, .. }
-                | Step::QDense4 { in_features, out_features, .. } => {
+                | Step::QDense { in_features, out_features, .. } => {
                     assert_eq!(in_shape.len(), 1, "Dense expects [N, In]");
                     assert_eq!(in_shape[0], *in_features, "feature mismatch");
-                    if matches!(step, Step::QDense { .. } | Step::QDense4 { .. }) {
+                    if matches!(step, Step::QDense { .. }) {
                         dense_out_max = dense_out_max.max(*out_features);
                     }
                     item_macs += in_features * out_features;
@@ -1590,7 +1342,6 @@ impl InferencePlan {
             let shapes = &layout.resolved[t];
             let in_len: usize = shapes.in_shape.iter().product();
             let out_len: usize = shapes.out_shape.iter().product();
-            let to_out = t == last_write;
             if let Step::QuantizeInput { params } = step {
                 params.quantize_slice(&xs[..n * in_len], &mut qa[..n * out_len]);
                 src_is_a = true;
@@ -1601,334 +1352,8 @@ impl InferencePlan {
             } else {
                 (&qb[..n * in_len], &mut qa[..])
             };
-            match step {
-                Step::QConv {
-                    qweight,
-                    lut,
-                    bias,
-                    cout,
-                    cin,
-                    kh,
-                    kw,
-                    stride,
-                    pad,
-                    fuse_relu,
-                    out: qout,
-                } => {
-                    let (h, w) = (shapes.in_shape[1], shapes.in_shape[2]);
-                    let (oh, ow) = (shapes.out_shape[1], shapes.out_shape[2]);
-                    let k = cin * kh * kw;
-                    let p_total = oh * ow;
-                    // Padded taps gather the activation zero point — the
-                    // code for exactly 0.0, matching the f32 path's zeros.
-                    let pad_code = lut.b_params().zero_point();
-                    // Small output planes pack several items into one tile
-                    // so the gather kernels amortize table traffic.
-                    let group = if p_total >= QCONV_TILE { 1 } else { QCONV_TILE / p_total };
-                    let tile_width = qconv_tile_width(p_total);
-                    let mut i0 = 0usize;
-                    while i0 < n {
-                        let g = group.min(n - i0);
-                        let tile_cols = g * p_total;
-                        for p0 in (0..p_total).step_by(tile_width) {
-                            let cols = tile_width.min(p_total - p0);
-                            let tile = if g == 1 { cols } else { tile_cols };
-                            for li in 0..g {
-                                gather_patches_u8(
-                                    &src[(i0 + li) * in_len..(i0 + li + 1) * in_len],
-                                    *cin,
-                                    h,
-                                    w,
-                                    *kh,
-                                    *kw,
-                                    *stride,
-                                    *pad,
-                                    ow,
-                                    p0,
-                                    cols,
-                                    tile,
-                                    li * p_total,
-                                    qgather,
-                                    pad_code,
-                                );
-                            }
-                            let acc = &mut facc[..cout * tile];
-                            acc.fill(0.0);
-                            lut_gemm(
-                                lut,
-                                qweight.as_slice(),
-                                *cout,
-                                k,
-                                &qgather[..k * tile],
-                                tile,
-                                acc,
-                                tile,
-                            );
-                            match qout {
-                                QOut::Codes(params) => {
-                                    debug_assert!(!to_out, "code output cannot be the plan output");
-                                    for li in 0..g {
-                                        let dst_item = (i0 + li) * out_len;
-                                        for co in 0..*cout {
-                                            requantize_bias_act(
-                                                &acc[co * tile + li * p_total..][..cols],
-                                                bias[co],
-                                                *fuse_relu,
-                                                params,
-                                                &mut dst[dst_item + co * p_total + p0..][..cols],
-                                            );
-                                        }
-                                    }
-                                }
-                                QOut::Float => {
-                                    debug_assert!(to_out, "float output is the plan output");
-                                    for li in 0..g {
-                                        let out_item = (i0 + li) * out_len;
-                                        for co in 0..*cout {
-                                            let acc_row = &acc[co * tile + li * p_total..][..cols];
-                                            let orow =
-                                                &mut out[out_item + co * p_total + p0..][..cols];
-                                            for (o, &v) in orow.iter_mut().zip(acc_row) {
-                                                let v = v + bias[co];
-                                                *o = if *fuse_relu { v.max(0.0) } else { v };
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        i0 += g;
-                    }
-                }
-                Step::QDense {
-                    qwt,
-                    lut,
-                    bias,
-                    in_features,
-                    out_features,
-                    fuse_relu,
-                    out: qout,
-                } => {
-                    // Per-item single-row GEMMs: the single-row path skips
-                    // zero-point activation codes (ubiquitous after ReLU),
-                    // which beats a multi-row sweep — the weight-code
-                    // matrix stays hot across the item group either way.
-                    let outf = *out_features;
-                    let acc = &mut facc[..n * outf];
-                    acc.fill(0.0);
-                    for i in 0..n {
-                        lut_gemm(
-                            lut,
-                            &src[i * in_features..(i + 1) * in_features],
-                            1,
-                            *in_features,
-                            qwt.as_slice(),
-                            outf,
-                            &mut acc[i * outf..(i + 1) * outf],
-                            outf,
-                        );
-                    }
-                    match qout {
-                        QOut::Codes(params) => {
-                            debug_assert!(!to_out, "code output cannot be the plan output");
-                            for i in 0..n {
-                                for (j, &b) in bias.iter().enumerate() {
-                                    let v = acc[i * outf + j] + b;
-                                    let v = if *fuse_relu { v.max(0.0) } else { v };
-                                    dst[i * out_len + j] = params.quantize(v);
-                                }
-                            }
-                        }
-                        QOut::Float => {
-                            debug_assert!(to_out, "float output is the plan output");
-                            for i in 0..n {
-                                for (j, &b) in bias.iter().enumerate() {
-                                    let v = acc[i * outf + j] + b;
-                                    out[i * out_len + j] = if *fuse_relu { v.max(0.0) } else { v };
-                                }
-                            }
-                        }
-                    }
-                }
-                Step::QConv4 {
-                    qweight_t,
-                    lut,
-                    bias,
-                    cout,
-                    cin,
-                    kh,
-                    kw,
-                    stride,
-                    pad,
-                    fuse_relu,
-                    out: qout,
-                } => {
-                    // Transposed execution: pixel rows × tap columns against
-                    // `[k, Cout]` weight codes, so the 4-bit codes vary along
-                    // the shuffle axis. Per output element accumulation is
-                    // the same ascending-`k` order as the int8 path, and the
-                    // tiling is per item, so grouping cannot change bits.
-                    let (h, w) = (shapes.in_shape[1], shapes.in_shape[2]);
-                    let (oh, ow) = (shapes.out_shape[1], shapes.out_shape[2]);
-                    let k = cin * kh * kw;
-                    let p_total = oh * ow;
-                    let pad_code = lut.act_params().zero_point();
-                    for item in 0..n {
-                        let src_item = &src[item * in_len..(item + 1) * in_len];
-                        for p0 in (0..p_total).step_by(QCONV_TILE) {
-                            let prows = QCONV_TILE.min(p_total - p0);
-                            gather_patch_rows_u8(
-                                src_item, *cin, h, w, *kh, *kw, *stride, *pad, ow, p0, prows,
-                                qgather, pad_code,
-                            );
-                            let acc = &mut facc[..prows * cout];
-                            acc.fill(0.0);
-                            lut4_gemm(
-                                lut,
-                                &qgather[..prows * k],
-                                prows,
-                                k,
-                                qweight_t.as_slice(),
-                                *cout,
-                                acc,
-                                *cout,
-                            );
-                            match qout {
-                                QOut::Codes(params) => {
-                                    debug_assert!(!to_out, "code output cannot be the plan output");
-                                    let dst_item = item * out_len;
-                                    for (pi, arow) in acc.chunks_exact(*cout).enumerate() {
-                                        let p = p0 + pi;
-                                        for (co, &v) in arow.iter().enumerate() {
-                                            let v = v + bias[co];
-                                            let v = if *fuse_relu { v.max(0.0) } else { v };
-                                            dst[dst_item + co * p_total + p] = params.quantize(v);
-                                        }
-                                    }
-                                }
-                                QOut::Float => {
-                                    debug_assert!(to_out, "float output is the plan output");
-                                    let out_item = item * out_len;
-                                    for (pi, arow) in acc.chunks_exact(*cout).enumerate() {
-                                        let p = p0 + pi;
-                                        for (co, &v) in arow.iter().enumerate() {
-                                            let v = v + bias[co];
-                                            out[out_item + co * p_total + p] =
-                                                if *fuse_relu { v.max(0.0) } else { v };
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                Step::QDense4 {
-                    qwt,
-                    lut,
-                    bias,
-                    in_features,
-                    out_features,
-                    fuse_relu,
-                    out: qout,
-                } => {
-                    // One true multi-row shuffle GEMM over the whole item
-                    // group — rows are independent (each owns its
-                    // accumulators and its zero-code skip), so grouping is
-                    // bit-neutral here too.
-                    let outf = *out_features;
-                    let acc = &mut facc[..n * outf];
-                    acc.fill(0.0);
-                    lut4_gemm(
-                        lut,
-                        &src[..n * in_features],
-                        n,
-                        *in_features,
-                        qwt.as_slice(),
-                        outf,
-                        acc,
-                        outf,
-                    );
-                    match qout {
-                        QOut::Codes(params) => {
-                            debug_assert!(!to_out, "code output cannot be the plan output");
-                            for i in 0..n {
-                                for (j, &b) in bias.iter().enumerate() {
-                                    let v = acc[i * outf + j] + b;
-                                    let v = if *fuse_relu { v.max(0.0) } else { v };
-                                    dst[i * out_len + j] = params.quantize(v);
-                                }
-                            }
-                        }
-                        QOut::Float => {
-                            debug_assert!(to_out, "float output is the plan output");
-                            for i in 0..n {
-                                for (j, &b) in bias.iter().enumerate() {
-                                    let v = acc[i * outf + j] + b;
-                                    out[i * out_len + j] = if *fuse_relu { v.max(0.0) } else { v };
-                                }
-                            }
-                        }
-                    }
-                }
-                Step::QMaxPool { window, stride } => {
-                    let (c, h, w) = (shapes.in_shape[0], shapes.in_shape[1], shapes.in_shape[2]);
-                    let (oh, ow) = (shapes.out_shape[1], shapes.out_shape[2]);
-                    for item in 0..n {
-                        let src_item = &src[item * in_len..(item + 1) * in_len];
-                        let dst_item = &mut dst[item * out_len..(item + 1) * out_len];
-                        if *window == 2 && *stride == 2 {
-                            // The ubiquitous 2×2/2 case as slice max-pairs
-                            // (vectorizes to packed u8 max).
-                            for ci in 0..c {
-                                let plane = &src_item[ci * h * w..(ci + 1) * h * w];
-                                for oy in 0..oh {
-                                    let r0 = &plane[2 * oy * w..2 * oy * w + 2 * ow];
-                                    let r1 = &plane[(2 * oy + 1) * w..(2 * oy + 1) * w + 2 * ow];
-                                    let orow = &mut dst_item
-                                        [(ci * oh + oy) * ow..(ci * oh + oy) * ow + ow];
-                                    for ((o, p0), p1) in orow
-                                        .iter_mut()
-                                        .zip(r0.chunks_exact(2))
-                                        .zip(r1.chunks_exact(2))
-                                    {
-                                        *o = p0[0].max(p0[1]).max(p1[0]).max(p1[1]);
-                                    }
-                                }
-                            }
-                        } else {
-                            for ci in 0..c {
-                                let plane = &src_item[ci * h * w..(ci + 1) * h * w];
-                                for oy in 0..oh {
-                                    for ox in 0..ow {
-                                        let mut best = 0u8;
-                                        for ky in 0..*window {
-                                            for kx in 0..*window {
-                                                let v = plane
-                                                    [(oy * stride + ky) * w + (ox * stride + kx)];
-                                                if v > best {
-                                                    best = v;
-                                                }
-                                            }
-                                        }
-                                        dst_item[(ci * oh + oy) * ow + ox] = best;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                Step::QRelu { zero_point } => {
-                    for (o, &v) in dst[..n * out_len].iter_mut().zip(&src[..n * in_len]) {
-                        *o = v.max(*zero_point);
-                    }
-                }
-                Step::QDequantize { params } => {
-                    debug_assert!(to_out, "decode is always the plan output");
-                    params.dequantize_slice(&src[..n * in_len], &mut out[..n * out_len]);
-                }
-                _ => unreachable!("int8 plans contain only quantized steps"),
-            }
-            if to_out {
+            exec_step_q(step, shapes, n, src, dst, out, qgather, facc);
+            if t == last_write {
                 return;
             }
             src_is_a = !src_is_a;
@@ -1946,11 +1371,19 @@ impl std::fmt::Debug for InferencePlan {
     }
 }
 
-/// Whether a measured int4-vs-int8 calibration gap is acceptable: the max
-/// absolute output difference, normalized by the int8 output spread, must
-/// stay at or below [`INT4_FALLBACK_GAP`]. A degenerate (empty or constant)
-/// int8 output accepts int4 only when the outputs agree exactly.
-fn gap_accepts_int4(max_diff: f32, spread: (f32, f32)) -> bool {
+/// Whether the int4 candidate's calibration outputs `y4` stay close enough
+/// to the int8 outputs `y8`: the max absolute difference, normalized by the
+/// int8 output spread, must stay at or below [`INT4_FALLBACK_GAP`]. A
+/// degenerate (empty or constant) int8 output accepts int4 only when the
+/// outputs agree exactly.
+fn gap_accepts_int4(y8: &[f32], y4: &[f32]) -> bool {
+    let mut spread = (f32::INFINITY, f32::NEG_INFINITY);
+    let mut max_diff = 0.0f32;
+    for (&a, &b) in y8.iter().zip(y4) {
+        spread.0 = spread.0.min(a);
+        spread.1 = spread.1.max(a);
+        max_diff = max_diff.max((b - a).abs());
+    }
     let width = spread.1 - spread.0;
     // A NaN width (NaN calibration outputs) is degenerate too.
     if width <= 0.0 || width.is_nan() {
@@ -2142,13 +1575,325 @@ fn exec_step<'k>(
         Step::QuantizeInput { .. }
         | Step::QConv { .. }
         | Step::QDense { .. }
-        | Step::QConv4 { .. }
-        | Step::QDense4 { .. }
         | Step::QMaxPool { .. }
         | Step::QRelu { .. }
         | Step::QDequantize { .. } => {
-            unreachable!("quantized steps run in run_item_q")
+            unreachable!("quantized steps run in run_batch_q")
         }
+    }
+}
+
+/// The int4 compile's view of the calibration batch: its activation codes
+/// as the steps chosen so far produce them, so each layer's int4-vs-int8
+/// gap is measured on the codes that layer will really see.
+struct CalibrationCodes {
+    /// The f32 plan's layout for the calibration item shape (quantized step
+    /// `t + 1` has the shapes of f32 step `t`).
+    layout: Arc<Layout>,
+    n: usize,
+    codes: Vec<u8>,
+    next: Vec<u8>,
+    qgather: Vec<u8>,
+    facc: Vec<f32>,
+}
+
+impl CalibrationCodes {
+    fn new(calibration: &Tensor, layout: Arc<Layout>, input: QuantParams) -> CalibrationCodes {
+        let mut codes = vec![0u8; calibration.data().len()];
+        input.quantize_slice(calibration.data(), &mut codes);
+        CalibrationCodes {
+            layout,
+            n: calibration.shape()[0],
+            codes,
+            next: Vec::new(),
+            qgather: Vec::new(),
+            facc: Vec::new(),
+        }
+    }
+
+    /// Advance the codes through `step`, the quantized form of f32 step
+    /// `t`. A conv/dense step offered a `nibble` candidate first keeps
+    /// whichever operand the gap allows; both candidates run with the
+    /// epilogue stripped, so they are compared post-bias, pre-activation.
+    fn advance(&mut self, t: usize, step: &mut Step, nibble: Option<QWeights>) {
+        let layout = self.layout.clone();
+        let shapes = &layout.resolved[t];
+        let Some(nibble) = nibble else {
+            if !matches!(step, Step::Flatten) {
+                let out_len: usize = shapes.out_shape.iter().product();
+                self.next.resize(self.n * out_len, 0);
+                let (src, dst) = (&self.codes, &mut self.next);
+                exec_step_q(step, shapes, self.n, src, dst, &mut [], &mut [], &mut []);
+                std::mem::swap(&mut self.codes, &mut self.next);
+            }
+            return;
+        };
+        let (_, fuse_relu, out) = step.q_gemm().expect("int4 candidates are conv/dense");
+        let relu = std::mem::replace(fuse_relu, false);
+        let QOut::Codes(params) = std::mem::replace(out, QOut::Float) else {
+            unreachable!("the plan output is fixed up after the walk")
+        };
+        let y8 = self.pre_activation(step, shapes);
+        let (weights, _, _) = step.q_gemm().expect("int4 candidates are conv/dense");
+        let byte = std::mem::replace(weights, nibble);
+        let y4 = self.pre_activation(step, shapes);
+        let (weights, fuse_relu, out) = step.q_gemm().expect("int4 candidates are conv/dense");
+        let y = if gap_accepts_int4(&y8, &y4) {
+            y4
+        } else {
+            *weights = byte;
+            y8
+        };
+        (*fuse_relu, *out) = (relu, QOut::Codes(params));
+        self.codes.clear();
+        self.codes.extend(y.iter().map(|&v| params.quantize(if relu { v.max(0.0) } else { v })));
+    }
+
+    /// Run conv/dense `step` (epilogue set to `f32` output) over the codes.
+    fn pre_activation(&mut self, step: &Step, shapes: &ResolvedShape) -> Vec<f32> {
+        let out_len: usize = shapes.out_shape.iter().product();
+        let (gather_len, acc_len) = match step {
+            Step::QConv { weights, cout, cin, kh, kw, .. } => {
+                qconv_scratch(weights, cin * kh * kw, *cout, out_len / cout)
+            }
+            _ => (0, self.n * out_len),
+        };
+        self.qgather.resize(self.qgather.len().max(gather_len), 0);
+        self.facc.resize(self.facc.len().max(acc_len), 0.0);
+        let mut y = vec![0.0f32; self.n * out_len];
+        let (qgather, facc) = (&mut self.qgather, &mut self.facc);
+        exec_step_q(step, shapes, self.n, &self.codes, &mut [], &mut y, qgather, facc);
+        y
+    }
+}
+
+/// The conv/dense epilogue for one accumulator: bias, then optional ReLU.
+#[inline]
+fn bias_act(acc: f32, bias: f32, relu: bool) -> f32 {
+    let v = acc + bias;
+    if relu {
+        v.max(0.0)
+    } else {
+        v
+    }
+}
+
+/// Execute one quantized step (anything but `QuantizeInput`) for an
+/// `n`-item group, layer-major: activation codes in `src`, codes out to
+/// `dst`, or `f32` to `out` for the plan's final step. `qgather` and `facc`
+/// are the patch-gather and accumulator scratch.
+fn exec_step_q(
+    step: &Step,
+    shapes: &ResolvedShape,
+    n: usize,
+    src: &[u8],
+    dst: &mut [u8],
+    out: &mut [f32],
+    qgather: &mut [u8],
+    facc: &mut [f32],
+) {
+    let in_len: usize = shapes.in_shape.iter().product();
+    let out_len: usize = shapes.out_shape.iter().product();
+    match step {
+        Step::QConv { weights, bias, cout, cin, kh, kw, stride, pad, fuse_relu, out: qout } => {
+            let (h, w) = (shapes.in_shape[1], shapes.in_shape[2]);
+            let (oh, ow) = (shapes.out_shape[1], shapes.out_shape[2]);
+            let cout = *cout;
+            let k = cin * kh * kw;
+            let p_total = oh * ow;
+            match weights {
+                QWeights::Byte { codes, lut } => {
+                    // Padded taps gather the activation zero point — the
+                    // code for exactly 0.0, matching the f32 path's zeros.
+                    let pad_code = lut.b_params().zero_point();
+                    // Small output planes pack several items into one tile
+                    // so the gather kernels amortize table traffic.
+                    let group = if p_total >= QCONV_TILE { 1 } else { QCONV_TILE / p_total };
+                    let tile_width = qconv_tile_width(p_total);
+                    let mut i0 = 0usize;
+                    while i0 < n {
+                        let g = group.min(n - i0);
+                        let tile_cols = g * p_total;
+                        for p0 in (0..p_total).step_by(tile_width) {
+                            let cols = tile_width.min(p_total - p0);
+                            let tile = if g == 1 { cols } else { tile_cols };
+                            for li in 0..g {
+                                gather_patches_u8(
+                                    &src[(i0 + li) * in_len..(i0 + li + 1) * in_len],
+                                    *cin,
+                                    h,
+                                    w,
+                                    *kh,
+                                    *kw,
+                                    *stride,
+                                    *pad,
+                                    ow,
+                                    p0,
+                                    cols,
+                                    tile,
+                                    li * p_total,
+                                    qgather,
+                                    pad_code,
+                                );
+                            }
+                            let acc = &mut facc[..cout * tile];
+                            acc.fill(0.0);
+                            lut_gemm(
+                                lut,
+                                codes.as_slice(),
+                                cout,
+                                k,
+                                &qgather[..k * tile],
+                                tile,
+                                acc,
+                                tile,
+                            );
+                            for li in 0..g {
+                                let item = (i0 + li) * out_len;
+                                for (co, &b) in bias.iter().enumerate() {
+                                    let acc_row = &acc[co * tile + li * p_total..][..cols];
+                                    let at = item + co * p_total + p0;
+                                    match qout {
+                                        QOut::Codes(params) => requantize_bias_act(
+                                            acc_row,
+                                            b,
+                                            *fuse_relu,
+                                            params,
+                                            &mut dst[at..][..cols],
+                                        ),
+                                        QOut::Float => {
+                                            for (o, &v) in out[at..][..cols].iter_mut().zip(acc_row)
+                                            {
+                                                *o = bias_act(v, b, *fuse_relu);
+                                            }
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                        i0 += g;
+                    }
+                }
+                QWeights::Nibble { codes, lut } => {
+                    // Transposed execution: pixel rows × tap columns against
+                    // `[k, Cout]` weight codes, so the 4-bit codes vary along
+                    // the shuffle axis. Per output element accumulation is
+                    // the same ascending-`k` order as the int8 path, and the
+                    // tiling is per item, so grouping cannot change bits.
+                    let pad_code = lut.act_params().zero_point();
+                    for item in 0..n {
+                        let src_item = &src[item * in_len..(item + 1) * in_len];
+                        for p0 in (0..p_total).step_by(QCONV_TILE) {
+                            let prows = QCONV_TILE.min(p_total - p0);
+                            gather_patch_rows_u8(
+                                src_item, *cin, h, w, *kh, *kw, *stride, *pad, ow, p0, prows,
+                                qgather, pad_code,
+                            );
+                            let acc = &mut facc[..prows * cout];
+                            acc.fill(0.0);
+                            let gathered = &qgather[..prows * k];
+                            lut4_gemm(lut, gathered, prows, k, codes.as_slice(), cout, acc, cout);
+                            for (pi, arow) in acc.chunks_exact(cout).enumerate() {
+                                let at = item * out_len + p0 + pi;
+                                for (co, (&v, &b)) in arow.iter().zip(bias).enumerate() {
+                                    let v = bias_act(v, b, *fuse_relu);
+                                    match qout {
+                                        QOut::Codes(params) => {
+                                            dst[at + co * p_total] = params.quantize(v)
+                                        }
+                                        QOut::Float => out[at + co * p_total] = v,
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Step::QDense { weights, bias, in_features, out_features, fuse_relu, out: qout } => {
+            let (inf, outf) = (*in_features, *out_features);
+            let acc = &mut facc[..n * outf];
+            acc.fill(0.0);
+            match weights {
+                QWeights::Byte { codes, lut } => {
+                    // Per-item single-row GEMMs: the single-row path skips
+                    // zero-point activation codes (ubiquitous after ReLU),
+                    // which beats a multi-row sweep — the weight-code
+                    // matrix stays hot across the item group either way.
+                    for (x, acc_row) in
+                        src[..n * inf].chunks_exact(inf).zip(acc.chunks_exact_mut(outf))
+                    {
+                        lut_gemm(lut, x, 1, inf, codes.as_slice(), outf, acc_row, outf);
+                    }
+                }
+                // One true multi-row shuffle GEMM over the whole item group
+                // — rows are independent (each owns its accumulators and
+                // its zero-code skip), so grouping is bit-neutral here too.
+                QWeights::Nibble { codes, lut } => {
+                    lut4_gemm(lut, &src[..n * inf], n, inf, codes.as_slice(), outf, acc, outf);
+                }
+            }
+            // Both forms accumulate `[n × out]`: one epilogue.
+            for (i, arow) in acc.chunks_exact(outf).enumerate() {
+                for (j, (&v, &b)) in arow.iter().zip(bias).enumerate() {
+                    let v = bias_act(v, b, *fuse_relu);
+                    match qout {
+                        QOut::Codes(params) => dst[i * out_len + j] = params.quantize(v),
+                        QOut::Float => out[i * out_len + j] = v,
+                    }
+                }
+            }
+        }
+        Step::QMaxPool { window, stride } => {
+            let (c, h, w) = (shapes.in_shape[0], shapes.in_shape[1], shapes.in_shape[2]);
+            let (oh, ow) = (shapes.out_shape[1], shapes.out_shape[2]);
+            for item in 0..n {
+                let src_item = &src[item * in_len..(item + 1) * in_len];
+                let dst_item = &mut dst[item * out_len..(item + 1) * out_len];
+                if *window == 2 && *stride == 2 {
+                    // The ubiquitous 2×2/2 case as slice max-pairs
+                    // (vectorizes to packed u8 max).
+                    for ci in 0..c {
+                        let plane = &src_item[ci * h * w..(ci + 1) * h * w];
+                        for oy in 0..oh {
+                            let r0 = &plane[2 * oy * w..2 * oy * w + 2 * ow];
+                            let r1 = &plane[(2 * oy + 1) * w..(2 * oy + 1) * w + 2 * ow];
+                            let orow = &mut dst_item[(ci * oh + oy) * ow..(ci * oh + oy) * ow + ow];
+                            for ((o, p0), p1) in
+                                orow.iter_mut().zip(r0.chunks_exact(2)).zip(r1.chunks_exact(2))
+                            {
+                                *o = p0[0].max(p0[1]).max(p1[0]).max(p1[1]);
+                            }
+                        }
+                    }
+                } else {
+                    for ci in 0..c {
+                        let plane = &src_item[ci * h * w..(ci + 1) * h * w];
+                        for oy in 0..oh {
+                            for ox in 0..ow {
+                                let mut best = 0u8;
+                                for ky in 0..*window {
+                                    for kx in 0..*window {
+                                        let v = plane[(oy * stride + ky) * w + (ox * stride + kx)];
+                                        best = best.max(v);
+                                    }
+                                }
+                                dst_item[(ci * oh + oy) * ow + ox] = best;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        Step::QRelu { zero_point } => {
+            for (o, &v) in dst[..n * out_len].iter_mut().zip(&src[..n * in_len]) {
+                *o = v.max(*zero_point);
+            }
+        }
+        Step::QDequantize { params } => {
+            params.dequantize_slice(&src[..n * in_len], &mut out[..n * out_len]);
+        }
+        _ => unreachable!("quantized plans hold only quantized steps past QuantizeInput"),
     }
 }
 

@@ -49,8 +49,9 @@
 //! truncation, bit flips, and section-table tampering all surface as typed
 //! errors ([`SnapshotError`]) at load — never as a panic in a serving
 //! worker. Structural validation (section bounds, payload lengths vs layer
-//! shapes, quantizer validity, step/precision consistency) runs before the
-//! plan is assembled, so a plan that loads successfully is safe to serve.
+//! shapes, quantizer validity, step/precision consistency, the quantized
+//! step order) runs before the plan is assembled, so a plan that loads
+//! successfully is safe to serve.
 //!
 //! **Sharing.** Steps that shared one `Arc<ProductLut>` in the compiled
 //! plan reference the same payload section in the file and are re-interned
@@ -79,7 +80,7 @@ use da_arith::{
 };
 use memmap2::Mmap;
 
-use crate::engine::{ConvWeights, InferencePlan, PlanPrecision, QOut, Step};
+use crate::engine::{ConvWeights, InferencePlan, PlanPrecision, QOut, QWeights, Step};
 
 /// Magic bytes at offset 0 of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"DASNAPv1";
@@ -389,12 +390,7 @@ fn encode_plan(plan: &InferencePlan) -> Result<Vec<u8>, SnapshotError> {
     };
 
     let mut blobs: Vec<Blob<'_>> = Vec::new();
-    // LUT interning by Arc identity: steps that share a table in memory
-    // share one payload section in the file.
-    let mut lut8: Vec<(*const ProductLut, u32)> = Vec::new();
-    let mut lut4: Vec<(*const ProductLut4, u32)> = Vec::new();
-    let mut lut8_meta = MetaBuf::default();
-    let mut lut4_meta = MetaBuf::default();
+    let mut luts = LutRegistry::default();
 
     let mut steps = MetaBuf::default();
     steps.dim(plan.steps.len())?;
@@ -449,10 +445,10 @@ fn encode_plan(plan: &InferencePlan) -> Result<Vec<u8>, SnapshotError> {
                 steps.u8(TAG_QUANTIZE_INPUT);
                 steps.quant(*params);
             }
-            Step::QConv { qweight, lut, bias, cout, cin, kh, kw, stride, pad, fuse_relu, out } => {
-                let lut_idx = intern_lut8(&mut lut8, &mut lut8_meta, &mut blobs, lut)?;
-                let section = push_blob(&mut blobs, Blob::U8(qweight.as_slice()))?;
-                steps.u8(TAG_QCONV);
+            Step::QConv { weights, bias, cout, cin, kh, kw, stride, pad, fuse_relu, out } => {
+                let (tag, lut_idx, section) =
+                    luts.intern(&mut blobs, weights, [TAG_QCONV, TAG_QCONV4])?;
+                steps.u8(tag);
                 steps.u32(section);
                 steps.u32(lut_idx);
                 steps.f32s(bias)?;
@@ -462,47 +458,10 @@ fn encode_plan(plan: &InferencePlan) -> Result<Vec<u8>, SnapshotError> {
                 steps.u8(u8::from(*fuse_relu));
                 encode_qout(&mut steps, out);
             }
-            Step::QDense { qwt, lut, bias, in_features, out_features, fuse_relu, out } => {
-                let lut_idx = intern_lut8(&mut lut8, &mut lut8_meta, &mut blobs, lut)?;
-                let section = push_blob(&mut blobs, Blob::U8(qwt.as_slice()))?;
-                steps.u8(TAG_QDENSE);
-                steps.u32(section);
-                steps.u32(lut_idx);
-                steps.f32s(bias)?;
-                steps.dim(*in_features)?;
-                steps.dim(*out_features)?;
-                steps.u8(u8::from(*fuse_relu));
-                encode_qout(&mut steps, out);
-            }
-            Step::QConv4 {
-                qweight_t,
-                lut,
-                bias,
-                cout,
-                cin,
-                kh,
-                kw,
-                stride,
-                pad,
-                fuse_relu,
-                out,
-            } => {
-                let lut_idx = intern_lut4(&mut lut4, &mut lut4_meta, &mut blobs, lut)?;
-                let section = push_blob(&mut blobs, Blob::U8(qweight_t.as_slice()))?;
-                steps.u8(TAG_QCONV4);
-                steps.u32(section);
-                steps.u32(lut_idx);
-                steps.f32s(bias)?;
-                for &d in &[*cout, *cin, *kh, *kw, *stride, *pad] {
-                    steps.dim(d)?;
-                }
-                steps.u8(u8::from(*fuse_relu));
-                encode_qout(&mut steps, out);
-            }
-            Step::QDense4 { qwt, lut, bias, in_features, out_features, fuse_relu, out } => {
-                let lut_idx = intern_lut4(&mut lut4, &mut lut4_meta, &mut blobs, lut)?;
-                let section = push_blob(&mut blobs, Blob::U8(qwt.as_slice()))?;
-                steps.u8(TAG_QDENSE4);
+            Step::QDense { weights, bias, in_features, out_features, fuse_relu, out } => {
+                let (tag, lut_idx, section) =
+                    luts.intern(&mut blobs, weights, [TAG_QDENSE, TAG_QDENSE4])?;
+                steps.u8(tag);
                 steps.u32(section);
                 steps.u32(lut_idx);
                 steps.f32s(bias)?;
@@ -535,10 +494,10 @@ fn encode_plan(plan: &InferencePlan) -> Result<Vec<u8>, SnapshotError> {
         PlanPrecision::Int8 => 1,
         PlanPrecision::Int4Weights => 2,
     });
-    meta.dim(lut8.len())?;
-    meta.buf.extend_from_slice(&lut8_meta.buf);
-    meta.dim(lut4.len())?;
-    meta.buf.extend_from_slice(&lut4_meta.buf);
+    meta.dim(luts.seen8.len())?;
+    meta.buf.extend_from_slice(&luts.meta8.buf);
+    meta.dim(luts.seen4.len())?;
+    meta.buf.extend_from_slice(&luts.meta4.buf);
     meta.buf.extend_from_slice(&steps.buf);
 
     // Lay the file out: header, section table, META, aligned blobs.
@@ -587,50 +546,66 @@ fn encode_qout(meta: &mut MetaBuf, out: &QOut) {
     }
 }
 
-fn intern_lut8<'a>(
-    seen: &mut Vec<(*const ProductLut, u32)>,
-    meta: &mut MetaBuf,
-    blobs: &mut Vec<Blob<'a>>,
-    lut: &'a Arc<ProductLut>,
-) -> Result<u32, SnapshotError> {
-    let ptr = Arc::as_ptr(lut);
-    if let Some((_, idx)) = seen.iter().find(|(p, _)| *p == ptr) {
-        return Ok(*idx);
-    }
-    let section = u32::try_from(blobs.len() + 1)
-        .map_err(|_| SnapshotError::Unsupported("too many sections"))?;
-    blobs.push(Blob::F32Borrowed(lut.table()));
-    let idx = u32::try_from(seen.len()).expect("fewer LUTs than sections");
-    meta.quant(lut.a_params());
-    meta.quant(lut.b_params());
-    meta.u32(section);
-    seen.push((ptr, idx));
-    Ok(idx)
+/// Product tables interned by `Arc` identity while saving: steps that
+/// share a table in memory share one payload section in the file.
+#[derive(Default)]
+struct LutRegistry {
+    seen8: Vec<*const ProductLut>,
+    seen4: Vec<*const ProductLut4>,
+    meta8: MetaBuf,
+    meta4: MetaBuf,
 }
 
-fn intern_lut4<'a>(
-    seen: &mut Vec<(*const ProductLut4, u32)>,
-    meta: &mut MetaBuf,
-    blobs: &mut Vec<Blob<'a>>,
-    lut: &'a Arc<ProductLut4>,
-) -> Result<u32, SnapshotError> {
-    let ptr = Arc::as_ptr(lut);
-    if let Some((_, idx)) = seen.iter().find(|(p, _)| *p == ptr) {
-        return Ok(*idx);
+impl LutRegistry {
+    /// Queue a quantized step's product table (once per distinct table),
+    /// then its weight codes. Returns the step tag picked from
+    /// `tags = [byte, nibble]` by the code width, the table's registry
+    /// index, and the codes' section.
+    fn intern<'a>(
+        &mut self,
+        blobs: &mut Vec<Blob<'a>>,
+        weights: &'a QWeights,
+        tags: [u8; 2],
+    ) -> Result<(u8, u32, u32), SnapshotError> {
+        let (tag, idx, codes) = match weights {
+            QWeights::Byte { codes, lut } => {
+                let ptr = Arc::as_ptr(lut);
+                let idx = match self.seen8.iter().position(|&p| p == ptr) {
+                    Some(idx) => idx,
+                    None => {
+                        let section = push_blob(blobs, Blob::F32Borrowed(lut.table()))?;
+                        self.meta8.quant(lut.a_params());
+                        self.meta8.quant(lut.b_params());
+                        self.meta8.u32(section);
+                        self.seen8.push(ptr);
+                        self.seen8.len() - 1
+                    }
+                };
+                (tags[0], idx, codes)
+            }
+            QWeights::Nibble { codes, lut } => {
+                let ptr = Arc::as_ptr(lut);
+                let idx = match self.seen4.iter().position(|&p| p == ptr) {
+                    Some(idx) => idx,
+                    None => {
+                        let section = push_blob(blobs, Blob::F32Borrowed(lut.table()))?;
+                        self.meta4.quant(lut.act_params());
+                        self.meta4.quant4(lut.w_params());
+                        self.meta4.u8(match lut.order() {
+                            Lut4Order::WeightsLeft => 0,
+                            Lut4Order::ActivationsLeft => 1,
+                        });
+                        self.meta4.u32(section);
+                        self.seen4.push(ptr);
+                        self.seen4.len() - 1
+                    }
+                };
+                (tags[1], idx, codes)
+            }
+        };
+        let section = push_blob(blobs, Blob::U8(codes.as_slice()))?;
+        Ok((tag, u32::try_from(idx).expect("fewer LUTs than sections"), section))
     }
-    let section = u32::try_from(blobs.len() + 1)
-        .map_err(|_| SnapshotError::Unsupported("too many sections"))?;
-    blobs.push(Blob::F32Borrowed(lut.table()));
-    let idx = u32::try_from(seen.len()).expect("fewer LUTs than sections");
-    meta.quant(lut.act_params());
-    meta.quant4(lut.w_params());
-    meta.u8(match lut.order() {
-        Lut4Order::WeightsLeft => 0,
-        Lut4Order::ActivationsLeft => 1,
-    });
-    meta.u32(section);
-    seen.push((ptr, idx));
-    Ok(idx)
 }
 
 // ---------------------------------------------------------------------------
@@ -732,12 +707,24 @@ impl Decoder<'_> {
         Ok(Storage::mapped(self.region.clone(), s.offset, len)?)
     }
 
-    fn lut8(&self, idx: u32) -> Result<Arc<ProductLut>, SnapshotError> {
-        self.lut8.get(idx as usize).cloned().ok_or(SnapshotError::Corrupt("LUT index out of range"))
-    }
-
-    fn lut4(&self, idx: u32) -> Result<Arc<ProductLut4>, SnapshotError> {
-        self.lut4.get(idx as usize).cloned().ok_or(SnapshotError::Corrupt("LUT index out of range"))
+    /// A quantized step's operand: `len` weight codes in payload `section`
+    /// with table `lut` from the int4 registry when `nibble`, else int8.
+    fn q_weights(
+        &self,
+        nibble: bool,
+        lut: u32,
+        section: u32,
+        len: usize,
+    ) -> Result<QWeights, SnapshotError> {
+        let missing = SnapshotError::Corrupt("LUT index out of range");
+        let lut = lut as usize;
+        Ok(if nibble {
+            let lut = self.lut4.get(lut).cloned().ok_or(missing)?;
+            QWeights::Nibble { codes: self.u8_payload(section, len)?, lut }
+        } else {
+            let lut = self.lut8.get(lut).cloned().ok_or(missing)?;
+            QWeights::Byte { codes: self.u8_payload(section, len)?, lut }
+        })
     }
 }
 
@@ -751,8 +738,12 @@ fn decode_qout(c: &mut MetaCursor<'_>) -> Result<QOut, SnapshotError> {
 
 /// Read conv-shaped dims `[cout, cin, kh, kw, stride, pad]`, requiring the
 /// first five to be nonzero (a zero stride or kernel would panic in shape
-/// inference, not produce a typed error).
-fn conv_dims(c: &mut MetaCursor<'_>) -> Result<[usize; 6], SnapshotError> {
+/// inference, not produce a typed error) and `bias_len == cout`. Returns
+/// the dims and the weight count `cout·cin·kh·kw`.
+fn conv_dims(
+    c: &mut MetaCursor<'_>,
+    bias_len: usize,
+) -> Result<([usize; 6], usize), SnapshotError> {
     let mut d = [0usize; 6];
     for slot in d.iter_mut() {
         *slot = c.dim()?;
@@ -760,15 +751,34 @@ fn conv_dims(c: &mut MetaCursor<'_>) -> Result<[usize; 6], SnapshotError> {
     if d[..5].contains(&0) {
         return Err(SnapshotError::Corrupt("zero conv dimension"));
     }
-    Ok(d)
-}
-
-/// `cout * cin * kh * kw` with overflow as a typed error.
-fn conv_weight_len(d: &[usize; 6]) -> Result<usize, SnapshotError> {
-    d[0].checked_mul(d[1])
+    if bias_len != d[0] {
+        return Err(SnapshotError::Corrupt("conv bias length"));
+    }
+    let len = d[0]
+        .checked_mul(d[1])
         .and_then(|v| v.checked_mul(d[2]))
         .and_then(|v| v.checked_mul(d[3]))
-        .ok_or(SnapshotError::Corrupt("conv shape overflow"))
+        .ok_or(SnapshotError::Corrupt("conv shape overflow"))?;
+    Ok((d, len))
+}
+
+/// Read dense dims `in, out`, requiring both nonzero and `bias_len == out`.
+/// Returns them with the weight count `in·out`.
+fn dense_dims(
+    c: &mut MetaCursor<'_>,
+    bias_len: usize,
+) -> Result<(usize, usize, usize), SnapshotError> {
+    let (in_features, out_features) = (c.dim()?, c.dim()?);
+    if in_features == 0 || out_features == 0 {
+        return Err(SnapshotError::Corrupt("zero dense dimension"));
+    }
+    if bias_len != out_features {
+        return Err(SnapshotError::Corrupt("dense bias length"));
+    }
+    let len = in_features
+        .checked_mul(out_features)
+        .ok_or(SnapshotError::Corrupt("dense shape overflow"))?;
+    Ok((in_features, out_features, len))
 }
 
 /// Decode and validate the plan image (already container-validated).
@@ -850,12 +860,8 @@ fn decode_plan(bytes: &[u8], region: Arc<dyn ByteRegion>) -> Result<InferencePla
             TAG_CONV => {
                 let section = c.u32()?;
                 let bias = c.f32s()?;
-                let d = conv_dims(&mut c)?;
+                let (d, wlen) = conv_dims(&mut c, bias.len())?;
                 let fuse_relu = c.u8()? != 0;
-                if bias.len() != d[0] {
-                    return Err(SnapshotError::Corrupt("conv bias length"));
-                }
-                let wlen = conv_weight_len(&d)?;
                 let wmat = dec.f32_payload(section, wlen)?;
                 let weights = match &multiplier {
                     // The kernel path consumes pre-decomposed operands;
@@ -883,18 +889,8 @@ fn decode_plan(bytes: &[u8], region: Arc<dyn ByteRegion>) -> Result<InferencePla
             TAG_DENSE => {
                 let section = c.u32()?;
                 let bias = c.f32s()?;
-                let in_features = c.dim()?;
-                let out_features = c.dim()?;
+                let (in_features, out_features, wlen) = dense_dims(&mut c, bias.len())?;
                 let fuse_relu = c.u8()? != 0;
-                if in_features == 0 || out_features == 0 {
-                    return Err(SnapshotError::Corrupt("zero dense dimension"));
-                }
-                if bias.len() != out_features {
-                    return Err(SnapshotError::Corrupt("dense bias length"));
-                }
-                let wlen = in_features
-                    .checked_mul(out_features)
-                    .ok_or(SnapshotError::Corrupt("dense shape overflow"))?;
                 let wt = dec.f32_payload(section, wlen)?;
                 // Row classes are a compile-time acceleration, rebuilt here
                 // exactly as `InferencePlan::compile` builds them.
@@ -941,20 +937,15 @@ fn decode_plan(bytes: &[u8], region: Arc<dyn ByteRegion>) -> Result<InferencePla
                 Step::QuantAct { bits }
             }
             TAG_QUANTIZE_INPUT => Step::QuantizeInput { params: c.quant()? },
-            TAG_QCONV => {
+            tag @ (TAG_QCONV | TAG_QCONV4) => {
                 let section = c.u32()?;
-                let lut = dec.lut8(c.u32()?)?;
+                let lut = c.u32()?;
                 let bias = c.f32s()?;
-                let d = conv_dims(&mut c)?;
+                let (d, wlen) = conv_dims(&mut c, bias.len())?;
                 let fuse_relu = c.u8()? != 0;
                 let out = decode_qout(&mut c)?;
-                if bias.len() != d[0] {
-                    return Err(SnapshotError::Corrupt("conv bias length"));
-                }
-                let qweight = dec.u8_payload(section, conv_weight_len(&d)?)?;
                 Step::QConv {
-                    qweight,
-                    lut,
+                    weights: dec.q_weights(tag == TAG_QCONV4, lut, section, wlen)?,
                     bias,
                     cout: d[0],
                     cin: d[1],
@@ -966,70 +957,15 @@ fn decode_plan(bytes: &[u8], region: Arc<dyn ByteRegion>) -> Result<InferencePla
                     out,
                 }
             }
-            TAG_QDENSE => {
+            tag @ (TAG_QDENSE | TAG_QDENSE4) => {
                 let section = c.u32()?;
-                let lut = dec.lut8(c.u32()?)?;
+                let lut = c.u32()?;
                 let bias = c.f32s()?;
-                let in_features = c.dim()?;
-                let out_features = c.dim()?;
+                let (in_features, out_features, wlen) = dense_dims(&mut c, bias.len())?;
                 let fuse_relu = c.u8()? != 0;
                 let out = decode_qout(&mut c)?;
-                if in_features == 0 || out_features == 0 {
-                    return Err(SnapshotError::Corrupt("zero dense dimension"));
-                }
-                if bias.len() != out_features {
-                    return Err(SnapshotError::Corrupt("dense bias length"));
-                }
-                let wlen = in_features
-                    .checked_mul(out_features)
-                    .ok_or(SnapshotError::Corrupt("dense shape overflow"))?;
-                let qwt = dec.u8_payload(section, wlen)?;
-                Step::QDense { qwt, lut, bias, in_features, out_features, fuse_relu, out }
-            }
-            TAG_QCONV4 => {
-                let section = c.u32()?;
-                let lut = dec.lut4(c.u32()?)?;
-                let bias = c.f32s()?;
-                let d = conv_dims(&mut c)?;
-                let fuse_relu = c.u8()? != 0;
-                let out = decode_qout(&mut c)?;
-                if bias.len() != d[0] {
-                    return Err(SnapshotError::Corrupt("conv bias length"));
-                }
-                let qweight_t = dec.u8_payload(section, conv_weight_len(&d)?)?;
-                Step::QConv4 {
-                    qweight_t,
-                    lut,
-                    bias,
-                    cout: d[0],
-                    cin: d[1],
-                    kh: d[2],
-                    kw: d[3],
-                    stride: d[4],
-                    pad: d[5],
-                    fuse_relu,
-                    out,
-                }
-            }
-            TAG_QDENSE4 => {
-                let section = c.u32()?;
-                let lut = dec.lut4(c.u32()?)?;
-                let bias = c.f32s()?;
-                let in_features = c.dim()?;
-                let out_features = c.dim()?;
-                let fuse_relu = c.u8()? != 0;
-                let out = decode_qout(&mut c)?;
-                if in_features == 0 || out_features == 0 {
-                    return Err(SnapshotError::Corrupt("zero dense dimension"));
-                }
-                if bias.len() != out_features {
-                    return Err(SnapshotError::Corrupt("dense bias length"));
-                }
-                let wlen = in_features
-                    .checked_mul(out_features)
-                    .ok_or(SnapshotError::Corrupt("dense shape overflow"))?;
-                let qwt = dec.u8_payload(section, wlen)?;
-                Step::QDense4 { qwt, lut, bias, in_features, out_features, fuse_relu, out }
+                let weights = dec.q_weights(tag == TAG_QDENSE4, lut, section, wlen)?;
+                Step::QDense { weights, bias, in_features, out_features, fuse_relu, out }
             }
             TAG_QMAXPOOL => {
                 let window = c.dim()?;
@@ -1052,25 +988,53 @@ fn decode_plan(bytes: &[u8], region: Arc<dyn ByteRegion>) -> Result<InferencePla
     // Precision/step-family consistency: the execution engine dispatches on
     // precision and treats a mismatched step as unreachable, so reject it
     // here instead of panicking in a worker.
+    let quantized = precision != PlanPrecision::F32;
     for step in &steps {
-        let quantized = matches!(
+        let is_quantized = matches!(
             step,
             Step::QuantizeInput { .. }
                 | Step::QConv { .. }
                 | Step::QDense { .. }
-                | Step::QConv4 { .. }
-                | Step::QDense4 { .. }
                 | Step::QMaxPool { .. }
                 | Step::QRelu { .. }
                 | Step::QDequantize { .. }
         );
-        let wants_quantized = precision != PlanPrecision::F32;
-        if quantized != wants_quantized && !matches!(step, Step::Flatten) {
+        if is_quantized != quantized && !matches!(step, Step::Flatten) {
             return Err(SnapshotError::Corrupt("step family disagrees with plan precision"));
         }
     }
+    if quantized {
+        check_quantized_order(&steps)?;
+    }
 
     Ok(InferencePlan::from_steps(multiplier, steps, precision))
+}
+
+/// The quantized executor's dataflow contract: the plan starts with
+/// `QuantizeInput` (and has no other), every step passes activation codes
+/// on, and exactly the last writing (non-`Flatten`) step emits `f32` — a
+/// conv/dense with [`QOut::Float`], or a `QDequantize`.
+fn check_quantized_order(steps: &[Step]) -> Result<(), SnapshotError> {
+    if !matches!(steps.first(), Some(Step::QuantizeInput { .. })) {
+        return Err(SnapshotError::Corrupt("quantized plan must start with QuantizeInput"));
+    }
+    let last = steps.iter().rposition(|s| !matches!(s, Step::Flatten)).unwrap_or(0);
+    for (t, step) in steps.iter().enumerate() {
+        let emits_f32 = match step {
+            Step::QuantizeInput { .. } if t > 0 => {
+                return Err(SnapshotError::Corrupt("QuantizeInput past the first step"));
+            }
+            Step::QConv { out, .. } | Step::QDense { out, .. } => matches!(out, QOut::Float),
+            Step::QDequantize { .. } => true,
+            _ => false,
+        };
+        if emits_f32 != (t == last) {
+            return Err(SnapshotError::Corrupt(
+                "quantized plan must emit f32 at its last step only",
+            ));
+        }
+    }
+    Ok(())
 }
 
 impl InferencePlan {

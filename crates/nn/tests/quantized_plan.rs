@@ -414,6 +414,30 @@ fn off_grid_weight_mass_falls_back_to_int8_per_layer() {
     let x = on_grid_input(&[4, 20], &mut r);
     let plan = InferencePlan::compile_quantized_int4(&net, None, &x).expect("quantizable");
     assert_eq!(plan.int4_layer_mix(), (1, 0), "well-spread layer keeps int4");
+
+    // A conv→pool→dense stack whose every layer collapses the same way:
+    // the all-fallback int4 plan is the int8 plan, logit for logit.
+    let collapse = |layer: &mut dyn Layer| {
+        let mut params = layer.params_mut();
+        let w = params[0].data_mut();
+        w.fill(0.03);
+        w[0] = 1.0;
+        params[1].data_mut().fill(0.0);
+    };
+    let mut conv = Conv2d::new(1, 2, 5, 1, 0, &mut r);
+    let mut dense = Dense::new(2 * 4 * 4, 2, &mut r);
+    collapse(&mut conv);
+    collapse(&mut dense);
+    let net = Network::new("int4-fallback-stack")
+        .push(conv)
+        .push(MaxPool2d::new(2, 2))
+        .push(Flatten)
+        .push(dense);
+    let x = on_grid_input(&[4, 1, 12, 12], &mut r).map(|v| v / 255.0);
+    let plan = InferencePlan::compile_quantized_int4(&net, None, &x).expect("quantizable");
+    assert_eq!(plan.int4_layer_mix(), (0, 2), "every collapsed layer must keep int8");
+    let int8 = InferencePlan::compile_quantized(&net, None, &x).expect("quantizable");
+    assert_bit_equal(&plan.predict_batch(&x), &int8.predict_batch(&x), "all-fallback stack");
 }
 
 /// The int4 plan keeps the quantized serving contract on a mixed stack:

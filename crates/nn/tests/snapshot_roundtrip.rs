@@ -95,6 +95,15 @@ fn roundtrip_is_bit_identical_for_every_kind_and_precision() {
             let path = temp_path(&format!("rt-{}", ctx.replace(['/', '(', ')'], "-")));
             plan.save(&path).expect("save");
             let loaded = InferencePlan::load(&path).expect("load");
+            // The writer is a pure function of the plan: re-saving what was
+            // loaded reproduces the file byte for byte.
+            let resaved = temp_path(&format!("rs-{}", ctx.replace(['/', '(', ')'], "-")));
+            loaded.save(&resaved).expect("re-save");
+            assert!(
+                std::fs::read(&path).expect("read") == std::fs::read(&resaved).expect("read"),
+                "{ctx}: re-saved file differs"
+            );
+            std::fs::remove_file(&resaved).ok();
             assert_eq!(loaded.precision(), plan.precision(), "{ctx}: precision");
             assert_eq!(loaded.int4_layer_mix(), plan.int4_layer_mix(), "{ctx}: int4 mix");
             assert_eq!(
@@ -382,6 +391,36 @@ fn hostile_counts_are_rejected_before_allocation() {
         load_bytes("hostile-f32s-count", &forged_container(&meta)),
         Err(SnapshotError::Corrupt(_))
     ));
+
+    // Quantized step lists the executor cannot run. An int8 plan with no
+    // steps never writes its output, and `[QuantizeInput, QDequantize,
+    // QMaxPool 2/2]` decodes before its last step. Both fail typed at load,
+    // not with a panic in the first `predict_batch`.
+    let quant = |meta: &mut Vec<u8>| {
+        meta.extend_from_slice(&(1.0f32 / 255.0).to_le_bytes()); // scale
+        meta.push(0); // zero point
+    };
+    let mut no_steps = Vec::new();
+    no_steps.extend_from_slice(&0u32.to_le_bytes()); // multiplier name: ""
+    no_steps.push(1); // precision: int8
+    no_steps.extend_from_slice(&0u32.to_le_bytes()); // n8 = 0
+    no_steps.extend_from_slice(&0u32.to_le_bytes()); // n4 = 0
+    let mut misordered = no_steps.clone();
+    no_steps.extend_from_slice(&0u32.to_le_bytes()); // n_steps = 0
+    misordered.extend_from_slice(&3u32.to_le_bytes()); // n_steps = 3
+    misordered.push(7); // TAG_QUANTIZE_INPUT
+    quant(&mut misordered);
+    misordered.push(14); // TAG_QDEQUANTIZE
+    quant(&mut misordered);
+    misordered.push(12); // TAG_QMAXPOOL
+    misordered.extend_from_slice(&2u32.to_le_bytes()); // window
+    misordered.extend_from_slice(&2u32.to_le_bytes()); // stride
+    for (tag, meta) in [("hostile-q-empty", no_steps), ("hostile-q-order", misordered)] {
+        assert!(
+            matches!(load_bytes(tag, &forged_container(&meta)), Err(SnapshotError::Corrupt(_))),
+            "{tag} must be Corrupt"
+        );
+    }
 
     // A section offset aimed at the header (aligned, in bounds, valid
     // checksum): decoding reads header bytes as META and must fail typed,
