@@ -21,7 +21,7 @@
 //! * NaN/Inf follow IEEE semantics and bypass the approximate core.
 
 use crate::array::{ArrayMultiplier, ArrayMultiplierSpec};
-use crate::batch::{BatchKernel, SigProductCache};
+use crate::batch::{BatchKernel, PreparedOperand, PreparedOperands};
 use crate::bitslice::{BitslicedArray, BITSLICE_LANES, BITSLICE_WIDE, BITSLICE_WIDE_LANES};
 use crate::multiplier::Multiplier;
 use crate::simd::{self, RowClass};
@@ -266,85 +266,51 @@ fn pack_clamped(sign_bit: u32, exp: i32, frac: u32) -> f32 {
     f32::from_bits(bits)
 }
 
-/// Gate-level core multiplies a memo-enabled kernel performs before it
-/// allocates its [`SigProductCache`]: a tiny GEMM (one Dense forward in an
-/// attack loop, say) never pays the 1 MiB table allocation, while any
-/// workload long enough to profit crosses the threshold almost immediately
-/// (each gate-level product costs ~0.5 µs; the table costs ~50 µs once).
-const MEMO_WARMUP_PRODUCTS: u32 = 512;
-
-/// Memoization state of a batched FPM kernel for `FastPath::None` cores.
-enum SigMemo {
-    /// Never memoize (one-shot slice calls).
-    Disabled,
-    /// Memo-enabled but below [`MEMO_WARMUP_PRODUCTS`]; counts down.
-    Warmup(u32),
-    /// Allocated and serving.
-    Active(SigProductCache),
-}
-
-/// The batched kernel behind [`FloatMultiplier::batch_kernel`]: decomposes
-/// the shared operand once per slice call and, for cores without a proven
-/// closed form (HEAP, ablation wirings), memoizes gate-level significand
-/// products in a [`SigProductCache`] (allocated lazily after a warmup, so
-/// small GEMMs skip it). Kernels *without* a memo cache — the one-shot slice
-/// entry points — run those cores on the bit-sliced plane sweep instead
-/// ([`BitslicedArray`], 64 products per block), which needs no table at all
-/// and therefore also covers rotating wirings. Cores **with** a closed form (canonical AMA5, the
-/// exact array) run on the lane-parallel kernels of [`crate::simd`]: each
-/// right-hand row is classified once ([`RowClass`]) and swept by a
+/// The batched kernel behind [`FloatMultiplier::batch_kernel`] and the
+/// one-shot slice methods: decomposes the shared operand once per slice
+/// call. Cores without a proven closed form (HEAP, ablation wirings) run on
+/// the bit-sliced plane sweep from every entry point ([`BitslicedArray`]: 64
+/// products per block, eight terms × 64 through
+/// [`FpmBatchKernel::axpy_fused`]), which needs no table and therefore also
+/// covers rotating wirings. Cores **with** a closed form (canonical AMA5,
+/// the exact array) run on the lane-parallel kernels of [`crate::simd`]:
+/// each right-hand row is classified once ([`RowClass`]) and swept by a
 /// class-matched `LANES`-wide block pipeline; `Special` rows stay on the
 /// shared per-element slow path.
 ///
 /// Bit-exactness with the scalar path holds by construction: the special
 /// value / zero / denormal branch structure mirrors `multiply_inner`, the
 /// normalization tail re-expresses the shared [`FloatMultiplier::finish`]
-/// (asserted equivalent in `crate::simd`'s unit tests), and cache hits are
-/// validated against the full significand pair.
+/// (asserted equivalent in `crate::simd`'s unit tests), and every plane
+/// sweep runs the same gates as [`ArrayMultiplier::multiply`].
 struct FpmBatchKernel<'a> {
     m: &'a FloatMultiplier,
-    memo: SigMemo,
-    /// Per-patch-row classes for the tile-level GEMM entry point, computed
-    /// once per tile and reused by every output-row sweep.
+    /// Per-patch-row classes for the closed-form tile GEMM, computed once
+    /// per tile and reused by every output-row sweep.
     row_class: Vec<RowClass>,
+    /// One output row's shared operands for the gate-level tile GEMM's
+    /// fused sweep.
+    terms: Vec<f32>,
 }
 
 impl<'a> FpmBatchKernel<'a> {
-    fn new(m: &'a FloatMultiplier, with_cache: bool) -> Self {
-        let memo = if with_cache && m.fast_path == FastPath::None {
-            SigMemo::Warmup(MEMO_WARMUP_PRODUCTS)
-        } else {
-            SigMemo::Disabled
-        };
-        FpmBatchKernel { m, memo, row_class: Vec::new() }
+    fn new(m: &'a FloatMultiplier) -> Self {
+        FpmBatchKernel { m, row_class: Vec::new(), terms: Vec::new() }
     }
 
     #[inline]
-    fn sig_product(&mut self, sa: u64, sb: u64) -> u64 {
+    fn sig_product(&self, sa: u64, sb: u64) -> u64 {
         match self.m.fast_path {
             FastPath::CanonicalAma5 => sa << SIGNIFICAND_BITS,
             FastPath::Exact => sa * sb,
-            FastPath::None => {
-                let core = &self.m.core;
-                match &mut self.memo {
-                    SigMemo::Active(cache) => cache.product(sa, sb, |x, y| core.multiply(x, y)),
-                    SigMemo::Disabled => core.multiply(sa, sb),
-                    SigMemo::Warmup(left) => {
-                        *left -= 1;
-                        if *left == 0 {
-                            self.memo = SigMemo::Active(SigProductCache::default());
-                        }
-                        core.multiply(sa, sb)
-                    }
-                }
-            }
+            FastPath::None => self.m.core.multiply(sa, sb),
         }
     }
 
     /// One product against a predecomposed left operand; mirrors
     /// `multiply_inner` branch for branch.
     #[inline]
-    fn mul_one(&mut self, pa: Binary32Parts, a_nan: bool, b: f32) -> f32 {
+    fn mul_one(&self, pa: Binary32Parts, a_nan: bool, b: f32) -> f32 {
         let pb = Binary32Parts::from_f32(b);
         let sign = pa.sign ^ pb.sign;
 
@@ -437,35 +403,36 @@ impl FpmBatchKernel<'_> {
 }
 
 impl FpmBatchKernel<'_> {
-    /// Whether gate-level products should run on the bit-sliced plane sweep:
-    /// only cores without a closed form, and only on kernels without a memo
-    /// cache (memoized kernels keep their validated per-element hit path —
-    /// their cache statistics are part of the observable contract).
+    /// Whether gate-level products run on the bit-sliced plane sweep: every
+    /// core without a closed form does.
     #[inline]
     fn uses_bitslice(&self) -> bool {
-        self.m.fast_path == FastPath::None && matches!(self.memo, SigMemo::Disabled)
+        self.m.fast_path == FastPath::None
     }
 
     /// The shared `axpy` body over an already-decomposed left operand: the
-    /// single implementation behind both [`BatchKernel::axpy`] and
-    /// [`BatchKernel::axpy_prepared`], so the two entry points cannot
-    /// diverge.
-    fn axpy_parts(&mut self, pa: Binary32Parts, a_nan: bool, b: &[f32], acc: &mut [f32]) {
+    /// single implementation behind [`BatchKernel::axpy`],
+    /// [`BatchKernel::axpy_prepared`], [`BatchKernel::axpy_classified`],
+    /// [`BatchKernel::axpy_rows`] and the closed-form tile GEMM, so the
+    /// entry points cannot diverge. `class` is the caller's
+    /// [covering](RowClass::covers) class for `b`, or `None` to classify
+    /// here; only the closed-form sweeps read it.
+    fn axpy_parts(
+        &mut self,
+        pa: Binary32Parts,
+        a_nan: bool,
+        b: &[f32],
+        class: Option<RowClass>,
+        acc: &mut [f32],
+    ) {
         assert_eq!(b.len(), acc.len(), "axpy_slice length mismatch");
         if !pa.is_special() && !pa.is_zero_or_denormal() {
-            match self.m.fast_path {
-                FastPath::CanonicalAma5 => {
-                    return self.ama5_axpy_classified(pa, simd::classify_row(b), b, acc);
-                }
-                FastPath::Exact => {
-                    return self.exact_axpy_classified(pa, simd::classify_row(b), b, acc);
-                }
-                FastPath::None => {
-                    if self.uses_bitslice() {
-                        return self.axpy_parts_bitsliced(pa, b, acc);
-                    }
-                }
-            }
+            let class = || class.unwrap_or_else(|| simd::classify_row(b));
+            return match self.m.fast_path {
+                FastPath::CanonicalAma5 => self.ama5_axpy_classified(pa, class(), b, acc),
+                FastPath::Exact => self.exact_axpy_classified(pa, class(), b, acc),
+                FastPath::None => self.axpy_parts_bitsliced(pa, b, acc),
+            };
         }
         for (o, &y) in acc.iter_mut().zip(b) {
             *o = simd::nan_stable_add(*o, self.mul_one(pa, a_nan, y));
@@ -672,44 +639,52 @@ impl FpmBatchKernel<'_> {
 }
 
 impl FpmBatchKernel<'_> {
-    /// The class-matched tile sweep shared by [`BatchKernel::gemm_tile`]
-    /// (per-row classes scanned by the kernel) and
-    /// [`BatchKernel::gemm_tile_classed`] (one caller-supplied covering
-    /// class): per element the arithmetic and accumulation order are
-    /// identical to row-by-row `axpy_prepared`.
-    fn gemm_tile_sweep(
+    /// The one body behind [`BatchKernel::gemm_tile`] (`class: None`, each
+    /// patch row classified here) and [`BatchKernel::gemm_tile_classed`]
+    /// (one caller-supplied covering class). Gate-level cores send each
+    /// output row through the fused eight-term plane sweep
+    /// ([`FpmBatchKernel::axpy_fused`]; `b` is already the `K × tile`
+    /// row-major block it expects). Closed-form cores classify the shared
+    /// tile once and sweep every output row with the class-matched lane
+    /// kernels. Either way, per element the arithmetic and accumulation
+    /// order are those of row-by-row `axpy_prepared`.
+    fn gemm_tile_body(
         &mut self,
-        ops: &crate::batch::PreparedOperands,
+        ops: &PreparedOperands,
         b: &[f32],
         tile: usize,
+        class: Option<RowClass>,
         acc: &mut [f32],
         acc_stride: usize,
-        class_at: &dyn Fn(usize) -> RowClass,
     ) {
+        let k_rows = ops.cols();
+        assert_eq!(b.len(), k_rows * tile, "gemm_tile b length mismatch");
+        assert!(ops.rows() <= 1 || acc_stride >= tile, "gemm_tile rows overlap");
+        if self.uses_bitslice() {
+            let mut terms = std::mem::take(&mut self.terms);
+            for r in 0..ops.rows() {
+                terms.clear();
+                terms.extend(ops.row(r).iter().map(PreparedOperand::value));
+                self.axpy_fused(&terms, b, &mut acc[r * acc_stride..r * acc_stride + tile]);
+            }
+            self.terms = terms;
+            return;
+        }
+
+        let mut row_class = std::mem::take(&mut self.row_class);
+        row_class.clear();
+        for k in 0..k_rows {
+            let brow = &b[k * tile..(k + 1) * tile];
+            row_class.push(class.unwrap_or_else(|| simd::classify_row(brow)));
+        }
         for r in 0..ops.rows() {
             let acc_row = &mut acc[r * acc_stride..r * acc_stride + tile];
             for (k, op) in ops.row(r).iter().enumerate() {
-                let pa = op.parts();
                 let brow = &b[k * tile..(k + 1) * tile];
-                if pa.is_special() || pa.is_zero_or_denormal() {
-                    // Shared slow path, exactly as `axpy_parts` would take.
-                    let nan = op.is_nan();
-                    for (o, &y) in acc_row.iter_mut().zip(brow) {
-                        *o = simd::nan_stable_add(*o, self.mul_one(pa, nan, y));
-                    }
-                    continue;
-                }
-                match self.m.fast_path {
-                    FastPath::CanonicalAma5 => {
-                        self.ama5_axpy_classified(pa, class_at(k), brow, acc_row);
-                    }
-                    FastPath::Exact => {
-                        self.exact_axpy_classified(pa, class_at(k), brow, acc_row);
-                    }
-                    FastPath::None => unreachable!("closed-form sweeps only"),
-                }
+                self.axpy_parts(op.parts(), op.is_nan(), brow, Some(row_class[k]), acc_row);
             }
         }
+        self.row_class = row_class;
     }
 }
 
@@ -721,84 +696,41 @@ const DOT_BLOCK: usize = 8 * simd::LANES;
 
 impl BatchKernel for FpmBatchKernel<'_> {
     fn axpy(&mut self, a: f32, b: &[f32], acc: &mut [f32]) {
-        self.axpy_parts(Binary32Parts::from_f32(a), a.is_nan(), b, acc);
+        self.axpy_parts(Binary32Parts::from_f32(a), a.is_nan(), b, None, acc);
     }
 
-    fn axpy_prepared(&mut self, a: &crate::batch::PreparedOperand, b: &[f32], acc: &mut [f32]) {
-        self.axpy_parts(a.parts(), a.is_nan(), b, acc);
+    fn axpy_prepared(&mut self, a: &PreparedOperand, b: &[f32], acc: &mut [f32]) {
+        self.axpy_parts(a.parts(), a.is_nan(), b, None, acc);
     }
 
     fn axpy_classified(&mut self, a: f32, b: &[f32], class: RowClass, acc: &mut [f32]) {
         debug_assert!(class.covers(simd::classify_row(b)), "stale row class");
-        assert_eq!(b.len(), acc.len(), "axpy_slice length mismatch");
-        let pa = Binary32Parts::from_f32(a);
-        if !pa.is_special() && !pa.is_zero_or_denormal() {
-            match self.m.fast_path {
-                FastPath::CanonicalAma5 => return self.ama5_axpy_classified(pa, class, b, acc),
-                FastPath::Exact => return self.exact_axpy_classified(pa, class, b, acc),
-                FastPath::None => {}
-            }
-        }
-        let a_nan = a.is_nan();
-        for (o, &y) in acc.iter_mut().zip(b) {
-            *o = simd::nan_stable_add(*o, self.mul_one(pa, a_nan, y));
-        }
+        self.axpy_parts(Binary32Parts::from_f32(a), a.is_nan(), b, Some(class), acc);
     }
 
-    /// Multi-row sweep of one shared right-hand row: classify the row
-    /// **once**, then run every shared operand's class-matched lane sweep
-    /// (the blocked GEMM calls this with its resident output-row block, so
-    /// the per-`axpy` classification scan is amortized across the block).
+    /// Multi-row sweep of one shared right-hand row: closed-form cores
+    /// classify the row **once** and run every shared operand's
+    /// class-matched lane sweep (the blocked GEMM calls this with its
+    /// resident output-row block, so the per-`axpy` classification scan is
+    /// amortized across the block); gate-level cores need no class.
     fn axpy_rows(&mut self, a: &[f32], b: &[f32], acc: &mut [f32], acc_stride: usize) {
         assert!(a.len() <= 1 || acc_stride >= b.len(), "axpy_rows rows overlap");
-        if self.m.fast_path == FastPath::None {
-            for (r, &av) in a.iter().enumerate() {
-                self.axpy(av, b, &mut acc[r * acc_stride..r * acc_stride + b.len()]);
-            }
-            return;
-        }
-        let class = simd::classify_row(b);
+        let class = (!self.uses_bitslice()).then(|| simd::classify_row(b));
         for (r, &av) in a.iter().enumerate() {
-            self.axpy_classified(av, b, class, &mut acc[r * acc_stride..r * acc_stride + b.len()]);
+            let acc_row = &mut acc[r * acc_stride..r * acc_stride + b.len()];
+            self.axpy_parts(Binary32Parts::from_f32(av), av.is_nan(), b, class, acc_row);
         }
     }
 
-    /// Tile-level GEMM. For closed-form cores (canonical AMA5 and the exact
-    /// array) the shared patch tile is classified **once** per row (normal /
-    /// zero-bearing / special) and then swept by every output row with the
-    /// class-matched lane kernel — per element the arithmetic and
-    /// accumulation order are identical to row-by-row `axpy_prepared`
-    /// (enforced by the batch tests and the engine equivalence property
-    /// tests). Gate-level cores pay per-element costs anyway, so they keep
-    /// row-by-row delegation (and their memo cache).
     fn gemm_tile(
         &mut self,
-        ops: &crate::batch::PreparedOperands,
+        ops: &PreparedOperands,
         b: &[f32],
         tile: usize,
         acc: &mut [f32],
         acc_stride: usize,
     ) {
-        let k_rows = ops.cols();
-        assert_eq!(b.len(), k_rows * tile, "gemm_tile b length mismatch");
-        assert!(ops.rows() <= 1 || acc_stride >= tile, "gemm_tile rows overlap");
-        if self.m.fast_path == FastPath::None {
-            for r in 0..ops.rows() {
-                let acc_row = &mut acc[r * acc_stride..r * acc_stride + tile];
-                for (k, op) in ops.row(r).iter().enumerate() {
-                    self.axpy_parts(op.parts(), op.is_nan(), &b[k * tile..(k + 1) * tile], acc_row);
-                }
-            }
-            return;
-        }
-
-        let mut row_class = std::mem::take(&mut self.row_class);
-        row_class.clear();
-        for k in 0..k_rows {
-            row_class.push(simd::classify_row(&b[k * tile..(k + 1) * tile]));
-        }
-        self.gemm_tile_sweep(ops, b, tile, acc, acc_stride, &|k| row_class[k]);
-        self.row_class = row_class;
+        self.gemm_tile_body(ops, b, tile, None, acc, acc_stride);
     }
 
     /// One class [covering](RowClass::covers) every patch row (a serving
@@ -806,25 +738,14 @@ impl BatchKernel for FpmBatchKernel<'_> {
     /// [`BatchKernel::gemm_tile`], zero classification scans.
     fn gemm_tile_classed(
         &mut self,
-        ops: &crate::batch::PreparedOperands,
+        ops: &PreparedOperands,
         b: &[f32],
         tile: usize,
         class: RowClass,
         acc: &mut [f32],
         acc_stride: usize,
     ) {
-        assert_eq!(b.len(), ops.cols() * tile, "gemm_tile b length mismatch");
-        assert!(ops.rows() <= 1 || acc_stride >= tile, "gemm_tile rows overlap");
-        if self.m.fast_path == FastPath::None {
-            for r in 0..ops.rows() {
-                let acc_row = &mut acc[r * acc_stride..r * acc_stride + tile];
-                for (k, op) in ops.row(r).iter().enumerate() {
-                    self.axpy_parts(op.parts(), op.is_nan(), &b[k * tile..(k + 1) * tile], acc_row);
-                }
-            }
-            return;
-        }
-        self.gemm_tile_sweep(ops, b, tile, acc, acc_stride, &|_| class);
+        self.gemm_tile_body(ops, b, tile, Some(class), acc, acc_stride);
     }
 
     fn dot(&mut self, a: &[f32], b: &[f32]) -> f32 {
@@ -888,13 +809,6 @@ impl BatchKernel for FpmBatchKernel<'_> {
             *o = self.mul_one(Binary32Parts::from_f32(x), x.is_nan(), y);
         }
     }
-
-    fn cache_stats(&self) -> Option<(u64, u64)> {
-        match &self.memo {
-            SigMemo::Active(cache) => Some(cache.stats()),
-            SigMemo::Disabled | SigMemo::Warmup(_) => None,
-        }
-    }
 }
 
 impl Multiplier for FloatMultiplier {
@@ -906,28 +820,27 @@ impl Multiplier for FloatMultiplier {
         &self.name
     }
 
-    // One-shot slice calls amortize operand decomposition but skip the memo
-    // cache (a 1 MiB table is not worth allocating per call); long-lived
-    // kernels from `batch_kernel` get the cache.
+    // One-shot slice calls and `batch_kernel` run the same kernel; a
+    // long-lived kernel only keeps its scratch rows between calls.
 
     fn multiply_slice(&self, a: &[f32], b: &[f32], out: &mut [f32]) {
-        FpmBatchKernel::new(self, false).mul(a, b, out);
+        FpmBatchKernel::new(self).mul(a, b, out);
     }
 
     fn dot_accumulate(&self, a: &[f32], b: &[f32]) -> f32 {
-        FpmBatchKernel::new(self, false).dot(a, b)
+        FpmBatchKernel::new(self).dot(a, b)
     }
 
     fn axpy_slice(&self, a: f32, b: &[f32], acc: &mut [f32]) {
-        FpmBatchKernel::new(self, false).axpy(a, b, acc);
+        FpmBatchKernel::new(self).axpy(a, b, acc);
     }
 
     fn axpy_fused(&self, a: &[f32], b: &[f32], acc: &mut [f32]) {
-        FpmBatchKernel::new(self, false).axpy_fused(a, b, acc);
+        FpmBatchKernel::new(self).axpy_fused(a, b, acc);
     }
 
     fn batch_kernel(&self) -> Box<dyn BatchKernel + Send + '_> {
-        Box::new(FpmBatchKernel::new(self, true))
+        Box::new(FpmBatchKernel::new(self))
     }
 }
 

@@ -28,13 +28,11 @@
 //!   [`Multiplier::dot_accumulate`], [`Multiplier::axpy_slice`] — with
 //!   scalar-loop defaults and vectorizable overrides for the exact and
 //!   Bfloat16 multipliers.
-//! * [`Multiplier::batch_kernel`] hands out a per-worker stateful
+//! * [`Multiplier::batch_kernel`] hands out a per-worker
 //!   [`batch::BatchKernel`]. The FPM kernel decomposes the shared operand
-//!   once per slice and, for cores without a proven closed form (HEAP and
-//!   ablation wirings), memoizes gate-level significand products in a
-//!   [`batch::SigProductCache`] — a direct-mapped LUT tagged with the full
-//!   24×24-bit significand pair, so hits are exact and misses fall back to
-//!   the gate-level core.
+//!   once per slice and picks its sweep from the mantissa core: the lane
+//!   kernels below for closed-form cores, the [`bitslice`] plane sweep for
+//!   gate-level ones. The one-shot slice methods run the same kernel.
 //! * [`batch::PreparedOperands`] pre-decomposes a weight matrix's
 //!   sign/exponent/significand fields once (at serving-plan compile time,
 //!   see `da_nn::engine`); [`BatchKernel::axpy_prepared`] consumes the
@@ -61,9 +59,10 @@
 //!   the fastest inner loop in the crate.
 //! * For **gate-level cores without a closed form** (HEAP, rotating ablation
 //!   wirings), [`bitslice`] evaluates the netlist itself over 64-wide (or,
-//!   through [`Multiplier::axpy_fused`], 8×64-wide) lane planes of machine
-//!   words — no table to build or invalidate, which is what makes rotating
-//!   schedules viable at serving throughput.
+//!   through [`Multiplier::axpy_fused`] and the tile GEMM, 8×64-wide) lane
+//!   planes of machine words from every kernel entry point — no table to
+//!   build or invalidate, which is what makes rotating schedules viable at
+//!   serving throughput.
 //!
 //! # Backend decision tree
 //!
@@ -80,11 +79,11 @@
 //! 3. **f32 operands, closed-form core** (exact array, canonical AMA5
 //!    Ax-FPM, Bfloat16 truncation) → [`simd`] lane kernels: branchless
 //!    `LANES`-wide block pipelines over classified rows.
-//! 4. **f32 operands, gate-level core** (HEAP, ablation wirings) →
-//!    one-shot kernels run the [`bitslice`] plane sweep via
-//!    [`Multiplier::axpy_fused`]; memoized per-worker kernels keep the
-//!    [`batch::SigProductCache`] LUT path (its hit/miss counters are part
-//!    of the observable serving contract).
+//! 4. **f32 operands, gate-level core** (HEAP, ablation wirings) → the
+//!    [`bitslice`] plane sweep: 64 products per block for single-term
+//!    calls, eight terms × 64 lanes for [`Multiplier::axpy_fused`] and
+//!    [`BatchKernel::gemm_tile`]. Operands on an 8-bit grid are better
+//!    served by a quantized plan (steps 1–2), which tables every product.
 //! 5. **Anything else** (special values, ragged tails, non-x86 targets) →
 //!    the scalar loop, which is always the semantic ground truth.
 //!
@@ -124,7 +123,7 @@ mod multiplier;
 
 pub use adders::AdderKind;
 pub use array::{ArrayMultiplier, ArrayMultiplierSpec, CellAssignment, CpaKind, PortMap};
-pub use batch::{BatchKernel, PreparedOperand, PreparedOperands, SigProductCache};
+pub use batch::{BatchKernel, PreparedOperand, PreparedOperands};
 pub use bitslice::{
     transpose64, BitslicedArray, BITSLICE_LANES, BITSLICE_WIDE, BITSLICE_WIDE_LANES,
 };

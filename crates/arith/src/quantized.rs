@@ -48,10 +48,10 @@
 //!   serving-engine throughput, where the f32 path also pays per-plane
 //!   classification and f32 patch gathers.
 //! * **Gate-level cores** (HEAP, ablation wirings): these have *no* lane
-//!   kernels — every product simulates an array multiplier (memoized by
-//!   [`crate::SigProductCache`] at best). The LUT runs them at exactly the
-//!   same gather speed as the closed-form cores: three orders of magnitude
-//!   faster, while staying bit-faithful to the gates.
+//!   kernels — every product simulates an array multiplier (64 or 8×64 at
+//!   a time on the [`crate::bitslice`] plane sweep). The LUT runs them at
+//!   exactly the same gather speed as the closed-form cores: well over an
+//!   order of magnitude faster, while staying bit-faithful to the gates.
 //!
 //! The gather kernels are runtime-dispatched (AVX-512 → AVX2 → portable
 //! scalar). Unlike the lane kernels there is no autovectorizable

@@ -11,10 +11,10 @@
 //! [`da_arith::simd::nan_stable_add`] accumulate, the crate's documented
 //! reduction semantics.
 //!
-//! The second half asserts the memoization contract: lane kernels must not
-//! silently bypass the [`SigProductCache`] hit/miss counters on kinds that
-//! still memoize (HEAP, ablation wirings), and closed-form kinds must not
-//! grow one.
+//! The last test does the same for the bit-sliced gate-level sweep (HEAP
+//! and an ablation wiring): tile widths around its 64-lane block, reduction
+//! lengths around its eight-term fused run, and specials pinned at lanes
+//! 63/64 and inside a fused run, through one reused kernel per multiplier.
 
 use da_arith::fpm::FloatMultiplier;
 use da_arith::simd::nan_stable_add;
@@ -204,7 +204,8 @@ fn gemm_tile_is_bit_exact_at_lane_boundary_tiles() {
 }
 
 /// An AMA5-cell array with a non-canonical port wiring: gate-level
-/// simulation with no closed form (`FastPath::None`), so its kernel memoizes.
+/// simulation with no closed form (`FastPath::None`), so its kernel runs the
+/// bit-sliced sweep.
 fn ablation_multiplier() -> FloatMultiplier {
     let canonical = ArrayMultiplierSpec::ax_mantissa(24);
     let port_map = PortMap::ALL
@@ -215,58 +216,111 @@ fn ablation_multiplier() -> FloatMultiplier {
     FloatMultiplier::with_core("ablation", ArrayMultiplierSpec { port_map, ..canonical })
 }
 
-/// Memoizing kinds must keep counting cache hits/misses through every
-/// batched entry point — the lane kernels only cover closed-form cores and
-/// must not have silently rerouted gate-level kinds around the
-/// [`da_arith::SigProductCache`].
+/// Tile widths around the bit-sliced sweep's 64-lane block.
+const BLOCK_TILES: [usize; 5] = [1, 63, 64, 65, 129];
+
+/// Reduction lengths around the eight-term fused run.
+const FUSED_KS: [usize; 4] = [7, 8, 9, 17];
+
+/// A `[k, tile]` patch block of normals with zero, denormal, Inf and NaN
+/// pinned at lanes 63/64 (lane 0 when the tile is narrower) of rows 2 and 5,
+/// both inside the first eight-term run.
+fn block_patch(k: usize, tile: usize, rng: &mut rand::rngs::StdRng) -> Vec<f32> {
+    let mut b = boundary_row(k * tile, &[], rng);
+    let lane = |l: usize| if l < tile { l } else { 0 };
+    for (t, l, v) in [(2, 63, 0.0f32), (2, 64, 1e-40), (5, 63, f32::INFINITY), (5, 64, f32::NAN)] {
+        if t < k {
+            b[t * tile + lane(l)] = v;
+        }
+    }
+    b
+}
+
+/// Three `[3, k]` weight rows: row 0 all normal (whole eight-term runs),
+/// row 1 with a zero and a denormal breaking its first run, row 2 with Inf
+/// and NaN terms.
+fn block_weights(k: usize, rng: &mut rand::rngs::StdRng) -> Vec<f32> {
+    let mut w = boundary_row(3 * k, &[], rng);
+    w[k + 3] = -0.0;
+    w[k + 5] = f32::from_bits(3);
+    w[2 * k + 1] = f32::NEG_INFINITY;
+    w[2 * k + k - 1] = f32::NAN;
+    w
+}
+
+/// Every gate-level entry point against scalar `multiply` plus
+/// `nan_stable_add`, at the bit-sliced block and fused-run boundaries.
 #[test]
-fn cache_stats_are_preserved_across_batched_entry_points() {
+fn gate_level_kernels_are_bit_exact_at_bitslice_block_boundaries() {
     let mut rng = rng();
     let heap = MultiplierKind::Heap.build();
     let ablation = ablation_multiplier();
     for m in [&*heap, &ablation as &dyn Multiplier] {
+        // One kernel per multiplier, reused by every call below.
         let mut kern = m.batch_kernel();
-        let b: Vec<f32> = (0..64).map(|i| 0.25 + (i % 8) as f32 * 0.125).collect();
-        let mut acc = vec![0.0f32; b.len()];
-        // Warm past the memo threshold so the cache allocates.
-        for _ in 0..16 {
-            kern.axpy(rng.gen_range(0.1f32..1.0), &b, &mut acc);
+        for tile in BLOCK_TILES {
+            for k in FUSED_KS {
+                let rows = 3;
+                let ctx = format!("{} tile={tile} k={k}", m.name());
+                let b = block_patch(k, tile, &mut rng);
+                let w = block_weights(k, &mut rng);
+                let brow = |t: usize| &b[t * tile..(t + 1) * tile];
+
+                // out[r·stride + j] = 0.125 ⊕ Σ_t multiply(w[r, t], b[t, j]).
+                let stride = tile + 3;
+                let mut want = vec![0.125f32; rows * stride];
+                for r in 0..rows {
+                    for j in 0..tile {
+                        let o = &mut want[r * stride + j];
+                        for t in 0..k {
+                            *o = nan_stable_add(*o, m.multiply(w[r * k + t], b[t * tile + j]));
+                        }
+                    }
+                }
+
+                let ops = PreparedOperands::from_matrix(&w, rows, k);
+                let mut acc = vec![0.125f32; rows * stride];
+                kern.gemm_tile(&ops, &b, tile, &mut acc, stride);
+                assert_rows_equal(&acc, &want, &format!("{ctx} gemm_tile"));
+
+                let mut acc = vec![0.125f32; rows * stride];
+                kern.gemm_tile_classed(&ops, &b, tile, classify_row(&b), &mut acc, stride);
+                assert_rows_equal(&acc, &want, &format!("{ctx} gemm_tile_classed"));
+
+                let mut acc = vec![0.125f32; rows * stride];
+                for r in 0..rows {
+                    for t in 0..k {
+                        let acc_row = &mut acc[r * stride..r * stride + tile];
+                        kern.axpy_classified(w[r * k + t], brow(t), classify_row(brow(t)), acc_row);
+                    }
+                }
+                assert_rows_equal(&acc, &want, &format!("{ctx} axpy_classified"));
+
+                let mut acc = vec![0.125f32; rows * stride];
+                for t in 0..k {
+                    let column: Vec<f32> = (0..rows).map(|r| w[r * k + t]).collect();
+                    kern.axpy_rows(&column, brow(t), &mut acc, stride);
+                }
+                assert_rows_equal(&acc, &want, &format!("{ctx} axpy_rows"));
+
+                // Row pairs of the patch block: `tile`-long operands whose
+                // pins sit at lanes 63/64.
+                for t in 0..k {
+                    let (x, y) = (brow(t), brow(k - 1 - t));
+                    let mut want_dot = 0.0f32;
+                    for (&xv, &yv) in x.iter().zip(y) {
+                        want_dot = nan_stable_add(want_dot, m.multiply(xv, yv));
+                    }
+                    let got = kern.dot(x, y);
+                    assert_eq!(got.to_bits(), want_dot.to_bits(), "{ctx} dot t={t}");
+
+                    let mut out = vec![0.0f32; tile];
+                    kern.mul(x, y, &mut out);
+                    let want_mul: Vec<f32> =
+                        x.iter().zip(y).map(|(&xv, &yv)| m.multiply(xv, yv)).collect();
+                    assert_rows_equal(&out, &want_mul, &format!("{ctx} mul t={t}"));
+                }
+            }
         }
-        let (h0, m0) = kern.cache_stats().expect("gate-level kernels memoize");
-
-        // Every entry point must keep counting products.
-        let mut rows_acc = vec![0.0f32; 2 * b.len()];
-        kern.axpy_rows(&[0.3, 0.7], &b, &mut rows_acc, b.len());
-        let (h1, m1) = kern.cache_stats().expect("stats survive axpy_rows");
-        assert_eq!((h1 + m1) - (h0 + m0), 2 * b.len() as u64, "{} axpy_rows", m.name());
-
-        let ops = PreparedOperands::from_matrix(&[0.5, -0.25, 0.75, 0.1], 2, 2);
-        let mut tile_acc = vec![0.0f32; 24];
-        kern.gemm_tile(&ops, &b[..16], 8, &mut tile_acc, 16);
-        let (h2, m2) = kern.cache_stats().expect("stats survive gemm_tile");
-        assert_eq!((h2 + m2) - (h1 + m1), 32, "{} gemm_tile", m.name());
-
-        let _ = kern.dot(&b[..8], &b[8..16]);
-        let (h3, m3) = kern.cache_stats().expect("stats survive dot");
-        assert_eq!((h3 + m3) - (h2 + m2), 8, "{} dot", m.name());
-
-        let mut out = vec![0.0f32; 8];
-        kern.mul(&b[..8], &b[8..16], &mut out);
-        let (h4, m4) = kern.cache_stats().expect("stats survive mul");
-        assert_eq!((h4 + m4) - (h3 + m3), 8, "{} mul", m.name());
-
-        assert!(h4 > 0, "{}: repeated operands must produce hits", m.name());
-    }
-
-    // Closed-form kinds ride the lane kernels and must not grow a cache.
-    for kind in [MultiplierKind::ExactFpm, MultiplierKind::AxFpm, MultiplierKind::Bfloat16] {
-        let m = kind.build();
-        let mut kern = m.batch_kernel();
-        let b: Vec<f32> = (0..64).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        let mut acc = vec![0.0f32; b.len()];
-        for _ in 0..16 {
-            kern.axpy(0.7, &b, &mut acc);
-        }
-        assert_eq!(kern.cache_stats(), None, "{kind} must not memoize");
     }
 }

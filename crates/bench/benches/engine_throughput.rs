@@ -79,10 +79,10 @@ fn main() {
             continue;
         }
         // HEAP is the quantized path's headline: the gate-level f32 plan
-        // simulates an array multiplier per MAC (memoized at best), while
-        // the int8 plan gathers from a table built from those same gates —
-        // identical hardware model, serving at closed-form speeds. Batch 1
-        // only: the f32 side needs ~0.2 s per item.
+        // simulates an array multiplier per MAC (64 per bit-sliced sweep),
+        // while the int8 plan gathers from a table built from those same
+        // gates — identical hardware model, serving at closed-form speeds.
+        // Batch 1 only: the f32 side is the slowest plan in the table.
         let kinds: &[MultiplierKind] = if name == "lenet5" {
             &[
                 MultiplierKind::Exact,

@@ -1,5 +1,6 @@
 //! GEMM backend throughput: the seed's per-scalar dyn-dispatch path vs the
-//! batched slice-kernel + memoized-LUT backend, in MACs/s — plus the
+//! batched slice-kernel backend (lane kernels for closed-form cores, the
+//! bit-sliced plane sweep for gate-level ones), in MACs/s — plus the
 //! **int8 LUT-gather GEMM** (`da_arith::quantized::lut_gemm`) per
 //! multiplier kind. Int8 rows (`<kind>-int8`) compare against that kind's
 //! *batched f32* rate (first numeric column), not the scalar baseline: the
@@ -61,7 +62,7 @@ fn main() {
     let mut emitter = JsonEmitter::from_env("gemm_backend_throughput");
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
 
-    println!("GEMM backend throughput (batched slice kernels + memoized significand LUTs");
+    println!("GEMM backend throughput (batched slice kernels + bit-sliced gate-level sweeps");
     println!("vs the seed's one-virtual-call-per-MAC loop; higher is better)");
     println!();
     println!(
@@ -83,10 +84,10 @@ fn main() {
         let a = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng);
         let b = Tensor::rand_uniform(&[k, n], -1.0, 1.0, &mut rng);
 
-        // Continuous uniform operands never repeat a significand pair, so
-        // they show the worst case for the memo LUT; the "heap-q8" row uses
-        // 8-bit-quantized operands (the realistic low-entropy regime of
-        // quantized weights/activations) where the LUT pays off.
+        // Continuous uniform operands never repeat a significand pair; the
+        // "heap-q8" row times the same bit-sliced sweep on 8-bit-quantized
+        // operands (the low-entropy regime of quantized weights and
+        // activations, which quantized plans serve from a product table).
         let quantize = |t: &Tensor| t.map(|v| (v * 127.0).round() / 127.0);
         let (aq, bq) = (quantize(&a), quantize(&b));
 

@@ -148,7 +148,7 @@ fn parallel_gemm_is_bit_exact_above_threshold() {
     }
 }
 
-/// HEAP runs the gate-level core through per-worker memoizing LUTs; above
+/// HEAP runs the gate-level core on per-worker bit-sliced kernels; above
 /// the parallel threshold the result must still equal the (slow) scalar
 /// gate-level loop exactly.
 #[test]
