@@ -8,7 +8,19 @@
 //! attack — `logits`, `predict`, `probabilities`, and the harness's batched
 //! `predict_batch` clean filter and replay — through a
 //! [`BatchServer`], while gradient queries (white-box access) delegate to
-//! the wrapped [`Network`]'s per-layer backward pass, exactly as before.
+//! the wrapped [`Network`].
+//!
+//! # The gradient path
+//!
+//! `loss_gradient` and `class_gradient` call
+//! [`Network::input_gradient`]/[`Network::class_gradient`] on a batch of
+//! one: a per-layer `forward(Mode::Eval)` that caches activations, then an
+//! input-only backward ([`da_nn::Layer::backward_input`]) that computes no
+//! parameter gradient — the same bits as the training backward's input
+//! gradient. Every batch-1 LeNet-5 product stays below the parallel-matmul
+//! threshold, so a gradient query runs entirely on the calling thread and
+//! spawns none. These queries dominate JSMA, C&W and DeepFool; decision and
+//! score queries through the server now lead for HSJ, BA and LSA.
 //!
 //! Because batching is bit-identical to serial inference (the serve
 //! module's core contract), attack trajectories and transfer rates are
@@ -17,6 +29,7 @@
 use da_nn::loss::argmax_logits;
 use da_nn::serve::{BatchServer, ServeConfig};
 use da_nn::Network;
+use da_tensor::parallel::available_threads;
 use da_tensor::Tensor;
 
 use crate::traits::TargetModel;
@@ -58,7 +71,7 @@ impl<'a> ServedModel<'a> {
         // most one batched replay in flight, so replicas beyond a few only
         // cost memory (each worker snapshots the full prepared weights) —
         // evaluation harnesses often hold several ServedModels at once.
-        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4);
+        let workers = available_threads().min(4);
         ServedModel::with_config(
             network,
             ServeConfig {

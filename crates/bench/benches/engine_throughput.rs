@@ -13,10 +13,12 @@
 //! serving shapes. `DA_BENCH_JSON=<path>` writes the tables as a
 //! machine-readable document (see [`da_bench::json`]); `DA_BENCH_SMOKE=1`
 //! restricts the run to LeNet-5 × Ax-FPM at batch 1 and skips the
-//! concurrent-load scenario (CI's emit-and-schema-check smoke job). The second table then replays single-sample traffic from
-//! N submitter threads through `da_nn::serve::BatchServer` (micro-batching,
-//! shard pool of plan replicas) against a sequential one-at-a-time baseline
-//! on the same plan.
+//! concurrent-load scenario (CI's emit-and-schema-check smoke job). The
+//! second table times batch-1 attack gradients (`Network::input_gradient`
+//! on LeNet-5, exact and Ax-FPM; smoke mode included). The third replays
+//! single-sample traffic from N submitter threads through
+//! `da_nn::serve::BatchServer` (micro-batching, shard pool of plan
+//! replicas) against a sequential one-at-a-time baseline on the same plan.
 
 use std::time::{Duration, Instant};
 
@@ -151,12 +153,41 @@ fn main() {
         println!();
     }
 
+    attack_gradients(&mut rng, &mut emitter, smoke);
     if !smoke {
         concurrent_load(&mut rng, &mut emitter);
     }
     if let Some(path) = emitter.finish() {
         println!("wrote {}", path.display());
     }
+}
+
+/// Attack-gradient throughput: batch-1 `Network::input_gradient` on
+/// LeNet-5, the query every white-box attack (and BPDA under Ax-FPM) makes
+/// once per step. Emitted in smoke mode too, so CI notices if it vanishes.
+fn attack_gradients(rng: &mut rand::rngs::StdRng, emitter: &mut JsonEmitter, smoke: bool) {
+    println!("Attack gradients (batch-1 Network::input_gradient, exact straight-through backward)");
+    println!();
+    println!("{:<10} {:<12} {:>16}", "model", "multiplier", "gradients");
+    let mut net = lenet5(10, rng);
+    let x = Tensor::rand_uniform(&[1, 1, 28, 28], 0.0, 1.0, rng);
+    let reps = if smoke { 20 } else { 200 };
+    for kind in [MultiplierKind::Exact, MultiplierKind::AxFpm] {
+        // Exact is the native multiply (no multiplier installed), as in the
+        // attacks' source models.
+        net.set_multiplier((kind != MultiplierKind::Exact).then(|| kind.build()));
+        let rate = items_per_sec(1, reps, || net.input_gradient(&x, &[3]).1);
+        println!("{:<10} {:<12} {:>16}", "lenet5", kind.as_str(), human(rate));
+        emitter.record(
+            Record::new()
+                .label("model", "lenet5")
+                .label("multiplier", kind.as_str())
+                .label("batch", "1")
+                .label("scenario", "input_gradient")
+                .metric("gradient_items_per_sec", rate),
+        );
+    }
+    println!();
 }
 
 /// Wall-clock seconds for one run of `f`, best of `reps` (after a warmup).

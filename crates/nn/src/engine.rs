@@ -113,7 +113,7 @@ use da_arith::quantized::{
 use da_arith::storage::Storage;
 use da_arith::{BatchKernel, ExactMultiplier, Multiplier, PreparedOperands, RowClass};
 use da_tensor::ops::ConvGeometry;
-use da_tensor::parallel::par_map_chunks_with;
+use da_tensor::parallel::{available_threads, par_map_chunks_with};
 use da_tensor::Tensor;
 
 use crate::layers::transpose2d;
@@ -1091,15 +1091,14 @@ impl InferencePlan {
             // share wide tiles. Per-element accumulation order is
             // group-independent, so results stay bit-identical to
             // single-item runs (conformance-tested).
-            let threads = if parallel {
-                std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1)
-            } else {
-                1
-            };
+            let threads = if parallel { available_threads() } else { 1 };
             // `max(1)` is defensive: `Tensor` rejects zero dimensions, so
             // `n == 0` cannot reach here today, but a zero chunk size
             // would panic in the parallel splitter if it ever did.
             let group = n.div_ceil(threads).max(1);
+            if parallel {
+                self.reserve_workspaces(&layout, group, n.div_ceil(group));
+            }
             par_map_chunks_with(
                 &mut out,
                 group * out_len,
@@ -1115,6 +1114,7 @@ impl InferencePlan {
                 self.run_item(&layout, state, &xd[i * item_in..(i + 1) * item_in], piece);
             };
             if parallel {
+                self.reserve_workspaces(&layout, 1, n);
                 par_map_chunks_with(&mut out, out_len, || self.worker_state(&layout, 1), run);
             } else {
                 let mut state = self.worker_state(&layout, 1);
@@ -1135,6 +1135,24 @@ impl InferencePlan {
         let logits = self.predict_batch(x);
         let k: usize = logits.shape()[1..].iter().product();
         logits.data().chunks(k).map(crate::loss::argmax_logits).collect()
+    }
+
+    /// Top the workspace pool up to one workspace per worker of a parallel
+    /// call with `chunks` work pieces, each grown for `group`-item
+    /// batches, before any worker checks one out. Without this the pool
+    /// grows only to the peak number checked out at once, which depends on
+    /// how the workers' runs happen to overlap — a later call whose workers
+    /// overlap more would then allocate in steady state. After the first
+    /// parallel call at a given shape this finds the pool full and sized.
+    fn reserve_workspaces(&self, layout: &Layout, group: usize, chunks: usize) {
+        let workers = available_threads().min(chunks);
+        let mut pool = self.pool.lock().expect("workspace pool lock");
+        if pool.len() < workers {
+            pool.resize_with(workers, Workspace::default);
+        }
+        for ws in pool.iter_mut() {
+            ws.ensure(layout, group, &self.workspace_allocs);
+        }
     }
 
     /// Check out a workspace sized for `group`-item batches (reusing pooled

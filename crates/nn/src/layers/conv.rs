@@ -152,13 +152,8 @@ impl Layer for Conv2d {
         let cout = self.weight.shape()[0];
         let k2 = self.weight.shape()[2] * self.weight.shape()[3];
 
-        // Straight-through: gradients flow through the *effective* weights,
-        // and land on the latent weights unchanged.
-        let wmat_t = transpose2d(&self.effective_weight().reshape(&[cout, c * k2])); // [C·K², Cout]
-
         let mut dw = Tensor::zeros(&[cout, c * k2]);
         let mut db = Tensor::zeros(&[cout]);
-        let mut dx_items = Vec::with_capacity(n);
         for i in 0..n {
             let gi = grad.batch_item(i).reshape(&[cout, oh * ow]);
             let cols = im2col(&x.batch_item(i), geom);
@@ -169,13 +164,32 @@ impl Layer for Conv2d {
                 db.data_mut()[co] +=
                     gi.data()[co * oh * ow..(co + 1) * oh * ow].iter().sum::<f32>();
             }
-            // dX = col2im(Wᵀ · gi)
-            let dcols = matmul(&wmat_t, &gi);
-            dx_items.push(col2im(&dcols, c, geom));
         }
 
         let dw = dw.reshape(self.weight.shape());
-        (Tensor::stack(&dx_items), vec![dw, db])
+        (self.backward_input(cache, grad), vec![dw, db])
+    }
+
+    fn backward_input(&self, cache: &Cache, grad: &Tensor) -> Tensor {
+        let x = &cache.tensors[0];
+        let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+        let geom = self.geometry(h, w);
+        let (oh, ow) = geom.output();
+        let cout = self.weight.shape()[0];
+        let k2 = self.weight.shape()[2] * self.weight.shape()[3];
+
+        // Straight-through: gradients flow through the *effective* weights,
+        // and land on the latent weights unchanged.
+        let wmat_t = transpose2d(&self.effective_weight().reshape(&[cout, c * k2])); // [C·K², Cout]
+
+        // dX = col2im(Wᵀ · gi): the cached input only supplies the geometry.
+        let dx_items: Vec<Tensor> = (0..n)
+            .map(|i| {
+                let gi = grad.batch_item(i).reshape(&[cout, oh * ow]);
+                col2im(&matmul(&wmat_t, &gi), c, geom)
+            })
+            .collect();
+        Tensor::stack(&dx_items)
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -251,6 +265,20 @@ mod tests {
         let mut conv = Conv2d::new(2, 3, 3, 2, 1, &mut rng);
         let x = Tensor::randn(&[2, 2, 7, 7], 1.0, &mut rng);
         gradcheck::check_param_gradients(&mut conv, &x, 2e-2);
+    }
+
+    #[test]
+    fn backward_input_equals_full_backward_bitwise() {
+        let mut rng = rng();
+        let x = Tensor::randn(&[2, 2, 7, 7], 1.0, &mut rng);
+        for bits in [None, Some(3)] {
+            let mut conv = Conv2d::new(2, 3, 3, 2, 1, &mut rng);
+            if let Some(b) = bits {
+                conv = conv.with_weight_bits(b);
+            }
+            conv.set_multiplier(Some(MultiplierKind::AxFpm.build()));
+            gradcheck::check_backward_input_bits(&conv, &x);
+        }
     }
 
     #[test]

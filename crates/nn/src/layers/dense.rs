@@ -93,9 +93,7 @@ impl Layer for Dense {
 
     fn backward(&self, cache: &Cache, grad: &Tensor) -> (Tensor, Vec<Tensor>) {
         let x = &cache.tensors[0];
-        let weight = self.effective_weight();
-        // dX = dY · W ; dW = dYᵀ · X ; db = column sums of dY.
-        let dx = matmul(grad, &weight);
+        // dW = dYᵀ · X ; db = column sums of dY.
         let dw = matmul(&transpose2d(grad), x);
         let (n, o) = (grad.shape()[0], grad.shape()[1]);
         let mut db = Tensor::zeros(&[o]);
@@ -104,7 +102,12 @@ impl Layer for Dense {
                 db.data_mut()[j] += grad.data()[i * o + j];
             }
         }
-        (dx, vec![dw, db])
+        (self.backward_input(cache, grad), vec![dw, db])
+    }
+
+    fn backward_input(&self, _cache: &Cache, grad: &Tensor) -> Tensor {
+        // dX = dY · W, through the effective weights (straight-through).
+        matmul(grad, &self.effective_weight())
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -164,6 +167,20 @@ mod tests {
         let mut fc = Dense::new(4, 3, &mut rng);
         let x = Tensor::randn(&[2, 4], 1.0, &mut rng);
         gradcheck::check_param_gradients(&mut fc, &x, 1e-2);
+    }
+
+    #[test]
+    fn backward_input_equals_full_backward_bitwise() {
+        let mut rng = rng();
+        let x = Tensor::randn(&[3, 6], 1.0, &mut rng);
+        for bits in [None, Some(4)] {
+            let mut fc = Dense::new(6, 5, &mut rng);
+            if let Some(b) = bits {
+                fc = fc.with_weight_bits(b);
+            }
+            fc.set_multiplier(Some(MultiplierKind::AxFpm.build()));
+            gradcheck::check_backward_input_bits(&fc, &x);
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Every layer implements [`Layer`]: a pure `forward` producing the output
 //! and a [`Cache`], and a `backward` consuming that cache. Layers with
 //! learnable parameters expose them positionally via `params`/`params_mut`;
-//! `backward` returns parameter gradients in the same order.
+//! `backward` returns parameter gradients in the same order, and
+//! `backward_input` returns only the input gradient.
 
 use std::sync::Arc;
 
@@ -88,6 +89,20 @@ pub trait Layer: Send + Sync {
     /// `(∂L/∂input, parameter gradients aligned with params())`.
     fn backward(&self, cache: &Cache, grad: &Tensor) -> (Tensor, Vec<Tensor>);
 
+    /// Propagate `grad` to the input only: `∂L/∂input` without parameter
+    /// gradients — the attack-gradient path
+    /// ([`crate::Network::input_gradient`]).
+    ///
+    /// Same semantics and the same bits as `backward(cache, grad).0`,
+    /// straight-through estimator included: under an approximate
+    /// multiplier the gradient flows through the exact product with the
+    /// effective (quantized, if enabled) weights. Layers with parameters
+    /// override it to skip dW/db, and their `backward` takes its dX from
+    /// here, so the input-gradient code exists once.
+    fn backward_input(&self, cache: &Cache, grad: &Tensor) -> Tensor {
+        self.backward(cache, grad).0
+    }
+
     /// Learnable parameters (empty for stateless layers).
     fn params(&self) -> Vec<&Tensor> {
         Vec::new()
@@ -147,6 +162,21 @@ pub(crate) mod gradcheck {
                 (numeric - analytic).abs() <= tol * (1.0 + numeric.abs().max(analytic.abs())),
                 "input grad mismatch at {i}: numeric={numeric} analytic={analytic}"
             );
+        }
+    }
+
+    /// `backward_input` must return exactly the bits of `backward(..).0`.
+    pub fn check_backward_input_bits(layer: &dyn Layer, x: &Tensor) {
+        let (out, cache) = layer.forward(x, Mode::Eval);
+        let grad_out = Tensor::from_vec(
+            (0..out.len()).map(|i| ((i * 2654435761) % 1000) as f32 / 1000.0 - 0.5).collect(),
+            out.shape(),
+        );
+        let full = layer.backward(&cache, &grad_out).0;
+        let input_only = layer.backward_input(&cache, &grad_out);
+        assert_eq!(full.shape(), input_only.shape());
+        for (i, (a, b)) in full.data().iter().zip(input_only.data()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "input grad bits differ at {i}");
         }
     }
 

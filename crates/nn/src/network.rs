@@ -191,6 +191,19 @@ impl Network {
         (grad, grads)
     }
 
+    /// Backward pass from `∂L/∂output` to `∂L/∂input` only, through each
+    /// layer's [`Layer::backward_input`]: the same bits as
+    /// `backward(caches, grad_out).0` without computing any parameter
+    /// gradient.
+    fn backward_input(&self, caches: &[Cache], grad_out: &Tensor) -> Tensor {
+        assert_eq!(caches.len(), self.layers.len(), "cache/layer count mismatch");
+        self.layers
+            .iter()
+            .zip(caches)
+            .rev()
+            .fold(grad_out.clone(), |grad, (layer, cache)| layer.backward_input(cache, &grad))
+    }
+
     /// Inference logits for a `[N, ...]` batch.
     ///
     /// Runs on the compiled serving plan ([`crate::engine`]) when the layer
@@ -231,11 +244,13 @@ impl Network {
     /// Cross-entropy loss and its gradient with respect to the *input* —
     /// the primitive every gradient-based attack builds on. Under an
     /// approximate multiplier this is the BPDA/straight-through gradient.
+    ///
+    /// Walks the layers with [`Layer::backward_input`], so no parameter
+    /// gradient is computed; the result equals `backward(..).0` bit for bit.
     pub fn input_gradient(&self, x: &Tensor, labels: &[usize]) -> (f32, Tensor) {
         let (logits, caches) = self.forward(x, Mode::Eval);
         let (loss, dlogits) = softmax_cross_entropy(&logits, labels);
-        let (dx, _) = self.backward(&caches, &dlogits);
-        (loss, dx)
+        (loss, self.backward_input(&caches, &dlogits))
     }
 
     /// Gradient of one logit (`class`) with respect to the input, per batch
@@ -248,7 +263,7 @@ impl Network {
         for i in 0..n {
             seed.data_mut()[i * k + class] = 1.0;
         }
-        self.backward(&caches, &seed).0
+        self.backward_input(&caches, &seed)
     }
 
     /// Parameter views in layer order.

@@ -124,6 +124,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use da_tensor::parallel::available_threads;
 use da_tensor::Tensor;
 
 use crate::engine::InferencePlan;
@@ -185,7 +186,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let workers = available_threads();
         ServeConfig {
             workers,
             max_batch: 8,

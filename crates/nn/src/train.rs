@@ -3,6 +3,7 @@
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use da_tensor::parallel::available_threads;
 use da_tensor::Tensor;
 
 use crate::layers::Mode;
@@ -105,10 +106,7 @@ fn train_step(
     seed: u64,
     optimizer: &mut dyn Optimizer,
 ) -> f32 {
-    let threads = std::thread::available_parallelism()
-        .map(|t| t.get())
-        .unwrap_or(1)
-        .min(chunk.len().div_ceil(4).max(1));
+    let threads = available_threads().min(chunk.len().div_ceil(4).max(1));
 
     let shards: Vec<&[usize]> = chunk.chunks(chunk.len().div_ceil(threads)).collect();
     let results: Vec<(f32, Vec<Vec<Tensor>>, usize)> = if shards.len() <= 1 {

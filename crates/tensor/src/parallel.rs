@@ -8,8 +8,19 @@
 //! so at most one region parallelizes at a time — exactly what a single
 //! inference/attack pipeline wants, and merely sequentializes the (rare)
 //! concurrent-caller case.
+//!
+//! # Cost of a region
+//!
+//! A parallel region is not free, so callers gate it on work size. On a
+//! 2-vCPU x86-64 VM a `std::thread::scope` with two spawned workers costs
+//! 30–60 µs, and `std::thread::available_parallelism` 9–20 µs per call
+//! (on Linux it re-reads the cgroup CPU quota files each time). The
+//! thread count is therefore read once per process and memoized
+//! ([`available_threads`]); every worker-count decision in the workspace
+//! goes through it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Count of currently active parallel regions (see module docs).
 static ACTIVE_REGIONS: AtomicUsize = AtomicUsize::new(0);
@@ -37,7 +48,7 @@ impl Drop for RegionGuard {
 
 /// Partition `out` into `chunk`-sized pieces (the final piece may be
 /// shorter) and apply `f(chunk_index, piece)` to each, distributing pieces
-/// across `std::thread::available_parallelism()` worker threads.
+/// across [`available_threads`] worker threads.
 ///
 /// Falls back to a sequential loop when there is only one chunk or one CPU,
 /// or when called from inside another parallel region. Chunk indices are
@@ -174,8 +185,19 @@ where
     drop(guard);
 }
 
-fn available_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+/// The number of CPUs this process may run on
+/// (`std::thread::available_parallelism`, 1 if unknown), read once and
+/// memoized: the standard call re-reads the cgroup quota on every call,
+/// which costs more than a small GEMM (module docs).
+///
+/// # Examples
+///
+/// ```
+/// assert!(da_tensor::parallel::available_threads() >= 1);
+/// ```
+pub fn available_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 #[cfg(test)]
