@@ -74,13 +74,7 @@ impl<'a> ServedModel<'a> {
         let workers = available_threads().min(4);
         ServedModel::with_config(
             network,
-            ServeConfig {
-                workers,
-                max_batch: 32,
-                flush_deadline: std::time::Duration::ZERO,
-                queue_capacity: 256,
-                ..ServeConfig::default()
-            },
+            ServeConfig { workers, max_batch: 32, queue_capacity: 256, ..ServeConfig::default() },
         )
     }
 

@@ -20,7 +20,7 @@
 //! `da_nn::serve::BatchServer` (micro-batching, shard pool of plan
 //! replicas) against a sequential one-at-a-time baseline on the same plan.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use da_arith::MultiplierKind;
 use da_bench::json::{JsonEmitter, Record};
@@ -240,12 +240,7 @@ fn concurrent_load(rng: &mut rand::rngs::StdRng, emitter: &mut JsonEmitter) {
 
             let server = BatchServer::compile(
                 &net,
-                ServeConfig {
-                    max_batch: 8,
-                    flush_deadline: Duration::from_micros(200),
-                    queue_capacity: 64,
-                    ..ServeConfig::default()
-                },
+                ServeConfig { max_batch: 8, queue_capacity: 64, ..ServeConfig::default() },
             )
             .expect("zoo models compile");
             let served = best_secs(reps, || {

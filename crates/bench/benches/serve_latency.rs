@@ -5,8 +5,8 @@
 //! synchronous clients — the full production path: framing, reactor,
 //! bounded queue, micro-batching, reply framing. Reported per scenario:
 //! client-observed p50/p99 request latency, aggregate throughput, and the
-//! realised mean batch size (how well the adaptive flush deadline is
-//! coalescing under that load).
+//! realised mean batch size (how much of that load queued behind busy
+//! workers and went out together).
 //!
 //! `DA_BENCH_JSON=<path>` writes the rows as a machine-readable document
 //! (scenario `serve_latency`; see [`da_bench::json`]); `DA_BENCH_SMOKE=1`

@@ -61,7 +61,8 @@ pub struct ServerStats {
     pub batches: u64,
     /// Individual requests served.
     pub items: u64,
-    /// Flushes forced by the latency deadline rather than a full batch.
+    /// Reserved, always 0: the STATS slot of a removed flush-deadline
+    /// gauge, kept so the counter indices stay append-only.
     pub flush_deadline_ns: u64,
     /// Worker panics caught and recovered from.
     pub worker_restarts: u64,

@@ -94,7 +94,8 @@ pub mod stats {
     pub const BATCHES: usize = 0;
     /// Items served across all batches.
     pub const ITEMS: usize = 1;
-    /// Current adaptive flush deadline, nanoseconds.
+    /// Reserved, always 0: the slot of a removed flush-deadline gauge.
+    /// Indices are append-only ABI, so it is never reused.
     pub const FLUSH_DEADLINE_NS: usize = 2;
     /// Worker panics survived by respawn.
     pub const WORKER_RESTARTS: usize = 3;

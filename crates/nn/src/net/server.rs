@@ -859,7 +859,6 @@ impl Reactor {
                 let mut counters = vec![0u64; frame::stats::COUNT];
                 counters[frame::stats::BATCHES] = stats.batches;
                 counters[frame::stats::ITEMS] = stats.items;
-                counters[frame::stats::FLUSH_DEADLINE_NS] = stats.flush_deadline_ns;
                 counters[frame::stats::WORKER_RESTARTS] = stats.worker_restarts;
                 counters[frame::stats::DEADLINE_EXPIRED] = stats.deadline_expired;
                 counters[frame::stats::GENERATION] = stats.generation;

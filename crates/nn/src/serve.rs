@@ -19,17 +19,17 @@
 //!   bit-identical to a serial [`InferencePlan::predict_batch`] on the same
 //!   sample — for every [`da_arith::MultiplierKind`], under any concurrent
 //!   schedule. `crates/nn/tests/serve_conformance.rs` property-tests this
-//!   under adversarial scheduling (tiny `max_batch`, zero deadline,
-//!   queue-full backpressure).
+//!   under adversarial scheduling (tiny `max_batch`, many submitters per
+//!   worker, queue-full backpressure).
 //! * **Ordering.** The queue is FIFO: workers always dispatch the oldest
 //!   pending request first, extending the batch with the longest prefix of
 //!   same-shape requests (up to [`ServeConfig::max_batch`]). Responses
 //!   travel on per-request channels, so callers never observe each other.
-//! * **Batch formation.** A worker that finds fewer than `max_batch`
-//!   requests queued waits up to [`ServeConfig::flush_deadline`] (a
-//!   [`Condvar`] timeout) for more to arrive, then flushes whatever is
-//!   there. A zero deadline dispatches immediately — batches still form
-//!   opportunistically whenever submitters outpace workers.
+//! * **Batch formation.** A worker never waits for a batch to fill: it
+//!   takes whatever is queued (the FIFO same-shape prefix, up to
+//!   `max_batch`) and runs it at once. Batches form on their own whenever
+//!   the backlog grows — requests that arrive while every worker is busy
+//!   are dispatched together by the next free worker.
 //! * **Backpressure.** The queue holds at most
 //!   [`ServeConfig::queue_capacity`] requests. [`BatchServer::submit`]
 //!   blocks until space frees up; [`BatchServer::try_submit`] returns
@@ -140,25 +140,8 @@ pub struct ServeConfig {
     /// — useful for deterministic backpressure/shutdown tests; production
     /// servers want at least 1.
     pub workers: usize,
-    /// Most samples a worker dispatches as one batch (≥ 1).
+    /// Most queued samples a worker dispatches as one batch (≥ 1).
     pub max_batch: usize,
-    /// The *longest* a worker holding fewer than `max_batch` requests waits
-    /// for the batch to fill before flushing. Zero dispatches immediately
-    /// (and disables adaptation).
-    ///
-    /// The effective deadline is **adaptive** per worker: each batch that
-    /// fills to `max_batch` before the deadline (the server is loaded and
-    /// batches form on their own) halves the worker's current deadline down
-    /// to [`flush_deadline_min`](ServeConfig::flush_deadline_min), bounding
-    /// the wait tax on tail latency; each deadline-expired partial flush
-    /// (traffic is sparse) doubles it back up to `flush_deadline`, giving
-    /// stragglers a chance to coalesce. Set
-    /// `flush_deadline_min == flush_deadline` for a fixed deadline.
-    pub flush_deadline: Duration,
-    /// Floor for the adaptive flush deadline under load (see
-    /// [`flush_deadline`](ServeConfig::flush_deadline)). Values above
-    /// `flush_deadline` are clamped to it.
-    pub flush_deadline_min: Duration,
     /// Most requests queued at once (≥ 1); beyond it, [`BatchServer::submit`]
     /// blocks and [`BatchServer::try_submit`] fails.
     pub queue_capacity: usize,
@@ -190,8 +173,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers,
             max_batch: 8,
-            flush_deadline: Duration::from_micros(200),
-            flush_deadline_min: Duration::from_micros(25),
             queue_capacity: workers.max(1) * 16,
             default_deadline: None,
             brownout_enter_sheds: 16,
@@ -273,16 +254,10 @@ pub struct Reply {
 /// thread that executed (or failed) the request's batch.
 pub type ReplyCallback = Box<dyn FnOnce(Result<Reply, ServeError>) + Send + 'static>;
 
-/// The two reply destinations a [`ReplySink`] can hold.
-enum SinkKind {
-    Channel(mpsc::Sender<Result<Reply, ServeError>>),
-    Callback(ReplyCallback),
-}
-
-/// Where a request's reply goes: the per-request channel behind
-/// [`Pending`], or a caller-supplied callback (the socket front end routes
-/// completions back into its reactor this way — a blocking `recv` has no
-/// place on an event loop).
+/// Where a request's reply goes: a callback, either caller-supplied (the
+/// socket front end routes completions back into its reactor this way — a
+/// blocking `recv` has no place on an event loop) or one that forwards to
+/// the per-request channel behind [`Pending`].
 ///
 /// A sink is a **drop guard**: if it is dropped without [`send`] or
 /// [`disarm`](ReplySink::disarm) — the only way that happens is a panic
@@ -293,22 +268,27 @@ enum SinkKind {
 ///
 /// [`send`]: ReplySink::send
 struct ReplySink {
-    inner: Option<SinkKind>,
+    inner: Option<ReplyCallback>,
 }
 
 impl ReplySink {
+    /// Forward the reply to a [`Pending`]'s channel. A dropped `Pending`
+    /// (closed channel) is not an error.
     fn channel(tx: mpsc::Sender<Result<Reply, ServeError>>) -> Self {
-        ReplySink { inner: Some(SinkKind::Channel(tx)) }
+        Self::callback(Box::new(move |r| {
+            let _ = tx.send(r);
+        }))
     }
 
     fn callback(f: ReplyCallback) -> Self {
-        ReplySink { inner: Some(SinkKind::Callback(f)) }
+        ReplySink { inner: Some(f) }
     }
 
-    /// Deliver the reply. A dropped [`Pending`] (closed channel) is not an
-    /// error; callbacks cannot fail.
+    /// Deliver the reply.
     fn send(mut self, reply: Result<Reply, ServeError>) {
-        Self::deliver(self.inner.take(), reply);
+        if let Some(f) = self.inner.take() {
+            f(reply);
+        }
     }
 
     /// Defuse the drop guard *without* delivering anything: rejected
@@ -318,27 +298,15 @@ impl ReplySink {
     fn disarm(mut self) {
         self.inner = None;
     }
-
-    fn deliver(kind: Option<SinkKind>, reply: Result<Reply, ServeError>) {
-        match kind {
-            None => {}
-            Some(SinkKind::Channel(tx)) => {
-                let _ = tx.send(reply);
-            }
-            Some(SinkKind::Callback(f)) => f(reply),
-        }
-    }
 }
 
 impl Drop for ReplySink {
     fn drop(&mut self) {
-        if let Some(kind) = self.inner.take() {
+        if let Some(f) = self.inner.take() {
             // This drop can run while a worker panic unwinds; a callback
             // that itself panics here would abort the process (double
             // panic), so contain it.
-            let _ = catch_unwind(AssertUnwindSafe(move || {
-                Self::deliver(Some(kind), Err(ServeError::WorkerDied));
-            }));
+            let _ = catch_unwind(AssertUnwindSafe(move || f(Err(ServeError::WorkerDied))));
         }
     }
 }
@@ -365,9 +333,6 @@ struct Counters {
     items: AtomicU64,
     largest_batch: AtomicU64,
     failed_batches: AtomicU64,
-    /// The adaptive flush deadline (nanoseconds) a worker most recently
-    /// dispatched under; observability only.
-    flush_deadline_ns: AtomicU64,
     /// Workers respawned by the supervisor after an escaped panic.
     worker_restarts: AtomicU64,
     /// Requests shed with [`ServeError::DeadlineExceeded`] before execution.
@@ -389,7 +354,7 @@ struct Counters {
 /// State shared between submitters and workers.
 struct Shared {
     state: Mutex<QueueState>,
-    /// Workers wait here for requests (and for batches to fill).
+    /// Workers and the expiry sweep wait here for requests.
     not_empty: Condvar,
     /// Blocked submitters wait here for queue space.
     space: Condvar,
@@ -529,10 +494,6 @@ pub struct ServeStats {
     /// Batches that failed execution (every member got
     /// [`ServeError::Execution`]).
     pub failed_batches: u64,
-    /// The adaptive flush deadline (in nanoseconds) of the most recent
-    /// dispatch — between [`ServeConfig::flush_deadline_min`] and
-    /// [`ServeConfig::flush_deadline`]. Zero before the first dispatch.
-    pub flush_deadline_ns: u64,
     /// Workers respawned by the supervisor after an escaped panic (a panic
     /// outside the per-batch execution guard). Zero on a healthy server.
     pub worker_restarts: u64,
@@ -773,13 +734,9 @@ impl BatchServer {
             .map(|i| {
                 let shared = shared.clone();
                 let max_batch = config.max_batch;
-                let flush = FlushPolicy {
-                    max: config.flush_deadline,
-                    min: config.flush_deadline_min.min(config.flush_deadline),
-                };
                 std::thread::Builder::new()
                     .name(format!("da-serve-{i}"))
-                    .spawn(move || supervised_worker(i, shared, max_batch, flush))
+                    .spawn(move || supervised_worker(i, shared, max_batch))
                     .expect("spawn serve worker")
             })
             .collect();
@@ -970,9 +927,10 @@ impl BatchServer {
             note_shed(&self.shared);
             doomed.reply.send(Err(ServeError::Overloaded { retry_after: wait }));
         }
-        // Wake every waiting worker: one will dispatch, the rest re-check
-        // (workers also wait here for partial batches to fill; the expiry
-        // sweep re-arms its timer off the same wakeup).
+        // `notify_all`, not `notify_one`: the expiry sweep waits on the
+        // same condvar and must re-arm its timer for the new deadline, so a
+        // single wakeup could land on the sweep and leave idle workers
+        // asleep. Woken workers that find the queue drained wait again.
         self.shared.not_empty.notify_all();
         Ok(())
     }
@@ -1044,7 +1002,6 @@ impl BatchServer {
             items: c.items.load(Ordering::Relaxed),
             largest_batch: c.largest_batch.load(Ordering::Relaxed),
             failed_batches: c.failed_batches.load(Ordering::Relaxed),
-            flush_deadline_ns: c.flush_deadline_ns.load(Ordering::Relaxed),
             worker_restarts: c.worker_restarts.load(Ordering::Relaxed),
             deadline_expired: c.deadline_expired.load(Ordering::Relaxed),
             generation: c.generation.load(Ordering::Relaxed),
@@ -1220,51 +1177,15 @@ impl std::fmt::Debug for BatchServer {
     }
 }
 
-/// The adaptive flush-deadline policy a worker applies between batches
-/// (see [`ServeConfig::flush_deadline`]).
-#[derive(Debug, Clone, Copy)]
-struct FlushPolicy {
-    /// Ceiling (and the starting deadline): `ServeConfig::flush_deadline`.
-    max: Duration,
-    /// Floor under load, already clamped to `max` at server start.
-    min: Duration,
-}
-
-impl FlushPolicy {
-    /// The next deadline after dispatching a batch: a batch that `filled`
-    /// to `max_batch` means the server is loaded and waiting buys nothing
-    /// (halve, toward `min`); a partial flush means traffic is sparse and a
-    /// longer window may coalesce stragglers (double, toward `max`).
-    ///
-    /// Saturating on purpose: `cur * 2` on a `Duration` near the type's
-    /// ceiling would otherwise panic, and `cur / 2` of a sub-nanosecond
-    /// deadline must floor at `min`, not wrap.
-    fn adapt(&self, cur: Duration, filled: bool) -> Duration {
-        if self.max.is_zero() {
-            return Duration::ZERO;
-        }
-        if filled {
-            (cur / 2).max(self.min)
-        } else {
-            // Doubling zero is zero: with a zero `min` the halving branch
-            // can reach an exactly-zero deadline, and regrowth must restart
-            // from a minimum quantum or the policy is pinned at the floor
-            // forever after one loaded spell.
-            cur.max(Duration::from_nanos(1)).saturating_mul(2).min(self.max)
-        }
-    }
-}
-
 /// Worker supervision: run [`worker_loop`] and, if a panic escapes it
 /// (poisoned mutex included — every lock site recovers), count the restart
 /// and re-enter the loop with a fresh plan handle from the shard pool. The
 /// dying iteration's in-flight requests were already failed with
 /// [`ServeError::WorkerDied`] by their [`ReplySink`] drop guards as the
 /// panic unwound, so no caller hangs across the restart.
-fn supervised_worker(index: usize, shared: Arc<Shared>, max_batch: usize, flush: FlushPolicy) {
+fn supervised_worker(index: usize, shared: Arc<Shared>, max_batch: usize) {
     loop {
-        let result =
-            catch_unwind(AssertUnwindSafe(|| worker_loop(index, &shared, max_batch, flush)));
+        let result = catch_unwind(AssertUnwindSafe(|| worker_loop(index, &shared, max_batch)));
         // The panic may have unwound past the quiet-hook flag set; clear it
         // so genuine later panics on this thread still print.
         IN_PLAN_EXECUTION.with(|flag| flag.set(false));
@@ -1280,61 +1201,19 @@ fn supervised_worker(index: usize, shared: Arc<Shared>, max_batch: usize, flush:
     }
 }
 
-/// One worker: wait for requests, form a batch (FIFO, same-shape prefix, up
-/// to `max_batch`, holding up to the adaptive flush deadline for it to
-/// fill), shed expired members, execute the rest on this worker's plan
-/// replica (fetched from the shard pool per batch, so hot reloads take
-/// effect at the next dispatch), and reply per request.
-fn worker_loop(index: usize, shared: &Arc<Shared>, max_batch: usize, flush: FlushPolicy) {
-    let mut deadline = flush.max;
+/// One worker: wait for requests, take the queued batch (FIFO, same-shape
+/// prefix, up to `max_batch`), shed expired members, execute the rest on
+/// this worker's plan replica (fetched from the shard pool per batch, so
+/// hot reloads take effect at the next dispatch), and reply per request.
+fn worker_loop(index: usize, shared: &Arc<Shared>, max_batch: usize) {
     loop {
-        let (batch, filled): (Vec<Request>, bool) = {
+        let batch: Vec<Request> = {
             let mut st = lock_queue(shared);
-            loop {
-                if !st.queue.is_empty() {
-                    break;
-                }
+            while st.queue.is_empty() {
                 if st.shutdown {
                     return;
                 }
                 st = shared.not_empty.wait(st).unwrap_or_else(PoisonError::into_inner);
-            }
-            if !deadline.is_zero() && st.queue.len() < max_batch && !st.shutdown {
-                // `checked_add` instead of `+`: Instant + Duration panics on
-                // overflow, and the deadline is caller-controlled. An
-                // unrepresentable deadline waits until the batch fills or
-                // shutdown — semantically "infinite", which is what a
-                // far-future Instant would have meant anyway.
-                let until = Instant::now().checked_add(deadline);
-                loop {
-                    if st.queue.len() >= max_batch || st.shutdown {
-                        break;
-                    }
-                    match until {
-                        None => {
-                            st = shared.not_empty.wait(st).unwrap_or_else(PoisonError::into_inner)
-                        }
-                        Some(until) => {
-                            // Re-read the clock on every re-arm (spurious
-                            // wakeups and early notifies land here): once
-                            // `now` has caught up to `until`, flush — a
-                            // saturated zero timeout would otherwise spin.
-                            let now = Instant::now();
-                            if now >= until {
-                                break;
-                            }
-                            let (guard, _timeout) = shared
-                                .not_empty
-                                .wait_timeout(st, until.saturating_duration_since(now))
-                                .unwrap_or_else(PoisonError::into_inner);
-                            st = guard;
-                        }
-                    }
-                }
-            }
-            // Another worker may have drained the queue while this one slept.
-            if st.queue.is_empty() {
-                continue;
             }
             let shape = st.queue.front().expect("non-empty queue").shape.clone();
             let take = st
@@ -1346,11 +1225,8 @@ fn worker_loop(index: usize, shared: &Arc<Shared>, max_batch: usize, flush: Flus
             let drained: Vec<Request> = st.queue.drain(..take).collect();
             drop(st);
             shared.space.notify_all();
-            let filled = drained.len() >= max_batch;
-            (drained, filled)
+            drained
         };
-        shared.counters.flush_deadline_ns.store(deadline.as_nanos() as u64, Ordering::Relaxed);
-        deadline = flush.adapt(deadline, filled);
         // Deadline-aware dispatch: requests that expired while queued are
         // shed *before* execution, not run late.
         let now = Instant::now();
@@ -1569,13 +1445,7 @@ mod tests {
     }
 
     fn cfg(workers: usize, max_batch: usize, cap: usize) -> ServeConfig {
-        ServeConfig {
-            workers,
-            max_batch,
-            flush_deadline: Duration::ZERO,
-            queue_capacity: cap,
-            ..ServeConfig::default()
-        }
+        ServeConfig { workers, max_batch, queue_capacity: cap, ..ServeConfig::default() }
     }
 
     #[test]
@@ -1620,7 +1490,6 @@ mod tests {
             items: 0,
             largest_batch: 0,
             failed_batches: 0,
-            flush_deadline_ns: 0,
             worker_restarts: 0,
             deadline_expired: 0,
             generation: 0,
@@ -1693,65 +1562,6 @@ mod tests {
         assert_eq!(reply.data.as_slice(), want.data());
         assert_eq!(reply.shape, vec![5]);
         assert!(!reply.degraded);
-    }
-
-    #[test]
-    fn adaptive_deadline_shrinks_under_load_and_grows_when_idle() {
-        let policy =
-            FlushPolicy { max: Duration::from_micros(200), min: Duration::from_micros(25) };
-        // Sustained load walks the deadline down to the floor...
-        let mut cur = policy.max;
-        for _ in 0..8 {
-            cur = policy.adapt(cur, true);
-        }
-        assert_eq!(cur, policy.min);
-        // ...and idle partial flushes walk it back to the ceiling.
-        for _ in 0..8 {
-            cur = policy.adapt(cur, false);
-        }
-        assert_eq!(cur, policy.max);
-        // Saturation: doubling from near the Duration ceiling must not
-        // panic, and a zero ceiling pins everything to zero.
-        let huge = FlushPolicy { max: Duration::MAX, min: Duration::ZERO };
-        assert_eq!(huge.adapt(Duration::MAX, false), Duration::MAX);
-        let zero = FlushPolicy { max: Duration::ZERO, min: Duration::ZERO };
-        assert_eq!(zero.adapt(Duration::from_secs(1), true), Duration::ZERO);
-    }
-
-    #[test]
-    fn adaptive_deadline_recovers_from_a_zero_floor() {
-        // A zero floor is legal configuration; sustained load halves the
-        // deadline down to exactly zero...
-        let policy = FlushPolicy { max: Duration::from_micros(200), min: Duration::ZERO };
-        let mut cur = policy.max;
-        for _ in 0..64 {
-            cur = policy.adapt(cur, true);
-        }
-        assert_eq!(cur, Duration::ZERO, "halving with a zero floor must reach zero");
-        // ...and sparse traffic must still regrow it: doubling zero forever
-        // would pin the policy at an immediate-dispatch deadline for the
-        // rest of the server's life.
-        for _ in 0..64 {
-            cur = policy.adapt(cur, false);
-        }
-        assert_eq!(cur, policy.max, "deadline must regrow after load pinned it at zero");
-    }
-
-    #[test]
-    fn stats_expose_the_dispatch_deadline() {
-        let net = tiny_cnn(23);
-        let config = ServeConfig {
-            workers: 1,
-            max_batch: 2,
-            flush_deadline: Duration::from_nanos(1),
-            flush_deadline_min: Duration::from_nanos(1),
-            queue_capacity: 8,
-            ..ServeConfig::default()
-        };
-        let server = BatchServer::compile(&net, config).expect("compilable");
-        let x = Tensor::zeros(&[1, 8, 8]);
-        server.logits(&x).expect("served");
-        assert_eq!(server.stats().flush_deadline_ns, 1);
     }
 
     #[test]

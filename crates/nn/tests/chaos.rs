@@ -15,6 +15,8 @@
 //!   reload while the old plan keeps serving, and a valid replacement
 //!   lands atomically with a generation bump;
 //! - deadlines shed stalled requests instead of stranding their callers;
+//! - requests queued behind a stalled batch coalesce into one full batch,
+//!   and a socket drain delivers every in-flight reply bit-identically;
 //! - a stalled worker inflates the service-time EWMA, so overload is shed
 //!   at admission (typed `Overloaded` + retry hint) instead of collapsing
 //!   the queue;
@@ -67,17 +69,10 @@ fn bits_eq(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// One worker, one-sample batches, no flush wait: dispatch order is exactly
-/// submission order, so `skip(n)` targets the n+1-th request's batch.
+/// One worker, one-sample batches: dispatch order is exactly submission
+/// order, so `skip(n)` targets the n+1-th request's batch.
 fn serial_cfg() -> ServeConfig {
-    ServeConfig {
-        workers: 1,
-        max_batch: 1,
-        flush_deadline: Duration::ZERO,
-        flush_deadline_min: Duration::ZERO,
-        queue_capacity: 32,
-        ..ServeConfig::default()
-    }
+    ServeConfig { workers: 1, max_batch: 1, queue_capacity: 32, ..ServeConfig::default() }
 }
 
 #[test]
@@ -176,6 +171,98 @@ fn slow_batch_expires_queued_deadlines_without_stranding_callers() {
     );
     slow.wait().expect("the slow request itself still completes");
     assert!(server.stats().deadline_expired >= 1);
+}
+
+#[test]
+fn requests_queued_behind_a_stalled_batch_coalesce_into_one_full_batch() {
+    let _g = lock();
+    let net = tiny_cnn(14);
+    let config = ServeConfig { max_batch: 8, ..serial_cfg() };
+    let server = BatchServer::compile(&net, config).expect("tiny cnn compiles");
+
+    // The first batch stalls; the worker takes no timer-driven decisions, so
+    // what coalesces is exactly what queued while it was busy.
+    da_failpoints::set(
+        "serve/worker_batch",
+        Spec::new(Fault::Delay(Duration::from_millis(300))).times(1),
+    );
+    let items: Vec<Tensor> = (0..9).map(|i| sample(200 + i)).collect();
+    let first = server.submit(&items[0]).expect("queued");
+    // Wait until the worker has dequeued the first request and entered the
+    // stall, so the 8 submits below all queue behind it.
+    let t0 = Instant::now();
+    while da_failpoints::hits("serve/worker_batch") == 0 {
+        assert!(t0.elapsed() < Duration::from_secs(10), "worker never dispatched");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let rest: Vec<Pending> =
+        items[1..].iter().map(|x| server.submit(x).expect("queue has room")).collect();
+
+    let reference = net.forward(&Tensor::stack(&items), Mode::Eval).0;
+    let classes = reference.shape()[1];
+    let results = std::iter::once(first).chain(rest).map(|p| p.wait().expect("served"));
+    for (i, got) in results.enumerate() {
+        let want = &reference.data()[i * classes..(i + 1) * classes];
+        assert!(bits_eq(got.data(), want), "sample {i} diverged");
+    }
+    let stats = server.stats();
+    assert_eq!(stats.largest_batch, 8, "the backlog dispatches as one full batch: {stats:?}");
+    assert_eq!(stats.batches, 2, "{stats:?}");
+}
+
+#[test]
+fn socket_drain_delivers_requests_held_behind_a_stalled_batch() {
+    let _g = lock();
+    let net = tiny_cnn(15);
+    let config = ServeConfig { max_batch: 64, queue_capacity: 64, ..serial_cfg() };
+    let server = BatchServer::compile(&net, config).expect("tiny cnn compiles");
+    let front =
+        NetServer::bind(server, "127.0.0.1:0", NetConfig::default()).expect("bind loopback");
+    let (addr, handle, join) = front.spawn();
+
+    // The first batch stalls, holding the burst genuinely in flight (one
+    // request executing, the rest queued) when the drain begins.
+    da_failpoints::set(
+        "serve/worker_batch",
+        Spec::new(Fault::Delay(Duration::from_millis(500))).times(1),
+    );
+    let mut a = Client::connect(addr).expect("connect A");
+    let items: Vec<Tensor> = (0..6).map(|i| sample(600 + i)).collect();
+    let ids: Vec<u64> =
+        items.iter().map(|x| a.send_infer(x.shape(), x.data()).expect("send")).collect();
+    // Let the reactor admit the burst before the drain starts.
+    std::thread::sleep(Duration::from_millis(50));
+
+    let mut b = Client::connect(addr).expect("connect B");
+    let before = b.stats().expect("stats");
+    assert_eq!(before.items, 0, "the burst must still be in flight when the drain begins");
+    b.shutdown_server().expect("drain acknowledged");
+
+    // A's replies still arrive — the workers stayed alive through the
+    // drain — and carry exactly the logits serial inference produces.
+    a.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    let reference = net.forward(&Tensor::stack(&items), Mode::Eval).0;
+    let classes = reference.shape()[1];
+    let mut seen = 0;
+    while seen < items.len() {
+        match a.recv_reply().expect("drained reply") {
+            da_nn::net::Message::InferOk { req_id, data, .. } => {
+                let i = ids.iter().position(|&id| id == req_id).expect("known id");
+                let want = &reference.data()[i * classes..(i + 1) * classes];
+                assert!(bits_eq(&data, want), "drained reply diverged from serial inference");
+                seen += 1;
+            }
+            other => panic!("expected INFER_OK during drain, got {other:?}"),
+        }
+    }
+
+    let stats = join.join().expect("reactor thread").expect("reactor exit");
+    assert_eq!(stats.replies_ok, items.len() as u64, "drain must deliver every reply");
+    drop(handle);
+
+    // The drained socket is closed once the last reply is flushed.
+    let err = a.recv_reply().expect_err("socket closed after drain");
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
 }
 
 #[test]

@@ -4,10 +4,12 @@
 //! The in-process suites pin the batch server's contract for cooperative
 //! callers; this one pins it for the callers a network edge actually gets:
 //! clients that disconnect with requests in flight, send hostile frames,
-//! trickle half a header and stall, or ask for shutdown while others still
-//! have work queued. Throughout, the invariant is the same as everywhere
-//! else in this codebase — every reply that is delivered is bit-identical
-//! to serial inference, no matter what any other connection is doing.
+//! or trickle half a header and stall. (A shutdown drain with other
+//! clients' work in flight needs a stalled batch to hold that work, so it
+//! lives in the failpoint-driven `chaos` suite.) Throughout, the invariant
+//! is the same as everywhere else in this codebase — every reply that is
+//! delivered is bit-identical to serial inference, no matter what any other
+//! connection is doing.
 
 #![cfg(unix)]
 
@@ -58,13 +60,7 @@ fn front_end(
 }
 
 fn serve_cfg() -> ServeConfig {
-    ServeConfig {
-        workers: 2,
-        max_batch: 4,
-        flush_deadline: Duration::from_micros(200),
-        queue_capacity: 32,
-        ..ServeConfig::default()
-    }
+    ServeConfig { workers: 2, max_batch: 4, queue_capacity: 32, ..ServeConfig::default() }
 }
 
 /// Serial ground truth for one sample.
@@ -126,13 +122,8 @@ fn served_replies_are_bit_identical_and_match_out_of_order() {
 fn pipelining_past_the_inflight_cap_does_not_deadlock() {
     // A small in-flight cap and a small batch queue make both park reasons
     // (cap hit, QueueFull) fire inside one client's burst.
-    let serve = ServeConfig {
-        workers: 1,
-        max_batch: 4,
-        flush_deadline: Duration::from_micros(200),
-        queue_capacity: 4,
-        ..ServeConfig::default()
-    };
+    let serve =
+        ServeConfig { workers: 1, max_batch: 4, queue_capacity: 4, ..ServeConfig::default() };
     let net_cfg = NetConfig { max_inflight: 4, ..NetConfig::default() };
     let (net, addr, handle, join) = front_end(serve, net_cfg);
     let mut client = Client::connect(addr).expect("connect");
@@ -283,57 +274,6 @@ fn slow_loris_partial_header_is_reaped_by_the_idle_timeout() {
 
     let stats = finish(handle, join);
     assert_eq!(stats.idle_closed, 1);
-}
-
-#[test]
-fn shutdown_drains_inflight_requests_bit_identically() {
-    // A long flush deadline with a big max_batch parks A's burst inside the
-    // worker's deadline wait — genuinely in flight when the drain begins.
-    let serve = ServeConfig {
-        workers: 1,
-        max_batch: 64,
-        flush_deadline: Duration::from_millis(200),
-        flush_deadline_min: Duration::from_millis(200),
-        queue_capacity: 64,
-        ..ServeConfig::default()
-    };
-    let (net, addr, handle, join) = front_end(serve, NetConfig::default());
-
-    let mut a = Client::connect(addr).expect("connect A");
-    let items: Vec<Tensor> = (0..6).map(|i| sample(600 + i)).collect();
-    let ids: Vec<u64> =
-        items.iter().map(|x| a.send_infer(x.shape(), x.data()).expect("send")).collect();
-    // Let the reactor admit the burst before the drain starts.
-    std::thread::sleep(Duration::from_millis(50));
-
-    let mut b = Client::connect(addr).expect("connect B");
-    b.shutdown_server().expect("drain acknowledged");
-
-    // A's replies still arrive — the workers stayed alive through the
-    // drain — and carry exactly the logits serial inference produces.
-    a.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
-    let mut seen = 0;
-    while seen < items.len() {
-        match a.recv_reply().expect("drained reply") {
-            Message::InferOk { req_id, data, .. } => {
-                let at = ids.iter().position(|&id| id == req_id).expect("known id");
-                assert!(
-                    bits_eq(&data, &reference(&net, &items[at])),
-                    "drained reply diverged from serial inference"
-                );
-                seen += 1;
-            }
-            other => panic!("expected INFER_OK during drain, got {other:?}"),
-        }
-    }
-
-    let stats = join.join().expect("reactor thread").expect("reactor exit");
-    assert_eq!(stats.replies_ok, items.len() as u64, "drain must deliver every reply");
-    drop(handle);
-
-    // The drained socket is closed once the last reply is flushed.
-    let err = a.recv_reply().expect_err("socket closed after drain");
-    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
 }
 
 #[test]

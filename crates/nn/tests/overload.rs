@@ -58,14 +58,8 @@ fn reference(net: &Network, x: &Tensor) -> Vec<f32> {
 #[test]
 fn shed_and_refused_requests_never_reach_a_worker() {
     let net = tiny_cnn(7);
-    let config = ServeConfig {
-        workers: 1,
-        max_batch: 4,
-        flush_deadline: Duration::ZERO,
-        flush_deadline_min: Duration::ZERO,
-        queue_capacity: 8,
-        ..ServeConfig::default()
-    };
+    let config =
+        ServeConfig { workers: 1, max_batch: 4, queue_capacity: 8, ..ServeConfig::default() };
     let server = BatchServer::compile(&net, config).expect("tiny cnn compiles");
 
     // Make the server look expensive: with a 10 s per-item estimate, any
@@ -131,13 +125,8 @@ fn shed_and_refused_requests_never_reach_a_worker() {
 #[test]
 fn rate_limited_requests_get_typed_retry_hints_and_never_execute() {
     let net = tiny_cnn(17);
-    let serve = ServeConfig {
-        workers: 1,
-        max_batch: 4,
-        flush_deadline: Duration::from_micros(200),
-        queue_capacity: 32,
-        ..ServeConfig::default()
-    };
+    let serve =
+        ServeConfig { workers: 1, max_batch: 4, queue_capacity: 32, ..ServeConfig::default() };
     let server = BatchServer::compile(&net, serve).expect("tiny cnn compiles");
     // Two tokens, then ~one token per half hour: exactly two requests of
     // the burst can be admitted no matter how slowly this test runs.
@@ -185,13 +174,8 @@ fn rate_limited_requests_get_typed_retry_hints_and_never_execute() {
 #[test]
 fn per_connection_buckets_are_independent() {
     let net = tiny_cnn(27);
-    let serve = ServeConfig {
-        workers: 1,
-        max_batch: 4,
-        flush_deadline: Duration::from_micros(200),
-        queue_capacity: 32,
-        ..ServeConfig::default()
-    };
+    let serve =
+        ServeConfig { workers: 1, max_batch: 4, queue_capacity: 32, ..ServeConfig::default() };
     let server = BatchServer::compile(&net, serve).expect("tiny cnn compiles");
     // One token per connection, negligible refill.
     let net_cfg =

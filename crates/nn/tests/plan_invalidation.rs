@@ -11,7 +11,6 @@
 //! bit-identically, and staleness is reported.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use da_arith::MultiplierKind;
 use da_nn::layers::{BatchNorm, Conv2d, Dense, Flatten, MaxPool2d, Relu};
@@ -41,13 +40,7 @@ fn bn_cnn(seed: u64) -> Network {
 }
 
 fn serve_cfg() -> ServeConfig {
-    ServeConfig {
-        workers: 1,
-        max_batch: 4,
-        flush_deadline: Duration::ZERO,
-        queue_capacity: 8,
-        ..ServeConfig::default()
-    }
+    ServeConfig { workers: 1, max_batch: 4, queue_capacity: 8, ..ServeConfig::default() }
 }
 
 fn sample(seed: u64) -> Tensor {

@@ -19,7 +19,6 @@
 //! * stacks without a quantized form decline to compile.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use da_arith::MultiplierKind;
 use da_nn::engine::{InferencePlan, PlanPrecision};
@@ -235,13 +234,7 @@ fn quantized_serving_is_bit_identical_under_concurrency() {
     let server = BatchServer::compile_quantized(
         &net,
         &calibration,
-        ServeConfig {
-            workers: 2,
-            max_batch: 3,
-            flush_deadline: Duration::from_micros(100),
-            queue_capacity: 16,
-            ..ServeConfig::default()
-        },
+        ServeConfig { workers: 2, max_batch: 3, queue_capacity: 16, ..ServeConfig::default() },
     )
     .expect("quantizable");
     let samples: Vec<Tensor> =
@@ -494,13 +487,7 @@ fn int4_serving_is_bit_identical_to_the_plan() {
     let server = BatchServer::compile_quantized_int4(
         &net,
         &calibration,
-        ServeConfig {
-            workers: 2,
-            max_batch: 3,
-            flush_deadline: Duration::from_micros(100),
-            queue_capacity: 16,
-            ..ServeConfig::default()
-        },
+        ServeConfig { workers: 2, max_batch: 3, queue_capacity: 16, ..ServeConfig::default() },
     )
     .expect("quantizable");
     let samples: Vec<Tensor> =

@@ -5,16 +5,18 @@
 //! [`InferencePlan::predict_batch`] on the same samples — for every
 //! [`MultiplierKind`] and the native path, under any concurrent schedule.
 //! The schedules here are adversarial on purpose: single-sample batches,
-//! zero flush deadlines, queues small enough that submitters spend most of
-//! their time blocked on backpressure, and more submitter threads than
-//! workers.
+//! batches of whatever happened to queue (workers never wait for a batch
+//! to fill), queues small enough that submitters spend most of their time
+//! blocked on backpressure, and more submitter threads than workers. That
+//! a backlog coalesces into full batches is pinned deterministically by
+//! the failpoint-driven `chaos` suite, which can stall a batch on cue.
 
 use std::sync::mpsc;
 use std::time::Duration;
 
 use da_arith::MultiplierKind;
 use da_nn::layers::{Conv2d, Dense, Dropout, Flatten, MaxPool2d, Relu};
-use da_nn::serve::{BatchServer, Pending, ServeConfig, ServeError};
+use da_nn::serve::{BatchServer, Pending, ServeConfig, ServeError, ServeStats};
 use da_nn::{InferencePlan, Mode, Network};
 use da_tensor::Tensor;
 use rand::SeedableRng;
@@ -78,8 +80,9 @@ fn submit_concurrently(server: &BatchServer) -> Vec<Vec<Tensor>> {
 }
 
 /// The conformance property: concurrent submission through `config` equals
-/// serial `predict_batch`, bit for bit, for `kind`.
-fn assert_conformance(kind: Option<MultiplierKind>, config: ServeConfig, tag: &str) {
+/// serial `predict_batch`, bit for bit, for `kind`. Returns the server's
+/// final counters.
+fn assert_conformance(kind: Option<MultiplierKind>, config: ServeConfig, tag: &str) -> ServeStats {
     let mut net = tiny_cnn(17);
     net.set_multiplier(kind.map(|k| k.build()));
     // The ground truth is the per-layer eval forward itself (the serial
@@ -106,60 +109,39 @@ fn assert_conformance(kind: Option<MultiplierKind>, config: ServeConfig, tag: &s
             }
         }
     }
+    stats
 }
 
 #[test]
 fn concurrent_logits_are_bit_identical_for_every_kind() {
-    // Default-ish config: batches form, queue deep enough to avoid blocking.
+    // Default-ish config: batches form from the backlog of four submitters
+    // against two workers, queue deep enough to avoid blocking.
     for kind in MultiplierKind::ALL.into_iter().map(Some).chain([None]) {
-        assert_conformance(
+        let stats = assert_conformance(
             kind,
-            ServeConfig {
-                workers: 2,
-                max_batch: 8,
-                flush_deadline: Duration::from_micros(200),
-                queue_capacity: 64,
-                ..ServeConfig::default()
-            },
+            ServeConfig { workers: 2, max_batch: 8, queue_capacity: 64, ..ServeConfig::default() },
             "coalescing",
         );
+        println!("coalescing {kind:?}: largest_batch {}", stats.largest_batch);
     }
 }
 
 #[test]
 fn adversarial_scheduling_is_still_bit_identical() {
-    // The schedules the issue calls out: tiny max_batch, zero deadline, and
-    // a queue so small that every submitter blocks on backpressure.
+    // Tiny max_batch, nearly a worker per submitter, and a queue so small
+    // that every submitter blocks on backpressure.
     let configs = [
         (
             "max_batch=1",
-            ServeConfig {
-                workers: 2,
-                max_batch: 1,
-                flush_deadline: Duration::ZERO,
-                queue_capacity: 64,
-                ..ServeConfig::default()
-            },
+            ServeConfig { workers: 2, max_batch: 1, queue_capacity: 64, ..ServeConfig::default() },
         ),
         (
-            "zero-deadline",
-            ServeConfig {
-                workers: 3,
-                max_batch: 4,
-                flush_deadline: Duration::ZERO,
-                queue_capacity: 64,
-                ..ServeConfig::default()
-            },
+            "three-workers",
+            ServeConfig { workers: 3, max_batch: 4, queue_capacity: 64, ..ServeConfig::default() },
         ),
         (
             "queue-full",
-            ServeConfig {
-                workers: 1,
-                max_batch: 2,
-                flush_deadline: Duration::ZERO,
-                queue_capacity: 1,
-                ..ServeConfig::default()
-            },
+            ServeConfig { workers: 1, max_batch: 2, queue_capacity: 1, ..ServeConfig::default() },
         ),
     ];
     // All kinds under the cheapest config; the paper's Ax-FPM under all.
@@ -184,13 +166,7 @@ fn served_predict_batch_is_bit_identical_under_concurrent_load() {
 
     let server = BatchServer::compile(
         &net,
-        ServeConfig {
-            workers: 2,
-            max_batch: 4,
-            flush_deadline: Duration::ZERO,
-            queue_capacity: 8,
-            ..ServeConfig::default()
-        },
+        ServeConfig { workers: 2, max_batch: 4, queue_capacity: 8, ..ServeConfig::default() },
     )
     .expect("compiles");
     std::thread::scope(|scope| {
@@ -223,13 +199,7 @@ fn backpressure_bounds_the_queue_and_shutdown_fails_pending() {
     // deterministically.
     let server = BatchServer::compile(
         &net,
-        ServeConfig {
-            workers: 0,
-            max_batch: 4,
-            flush_deadline: Duration::ZERO,
-            queue_capacity: 3,
-            ..ServeConfig::default()
-        },
+        ServeConfig { workers: 0, max_batch: 4, queue_capacity: 3, ..ServeConfig::default() },
     )
     .expect("compiles");
     let x = Tensor::zeros(&[1, 8, 8]);
@@ -258,47 +228,13 @@ fn backpressure_bounds_the_queue_and_shutdown_fails_pending() {
 }
 
 #[test]
-fn batches_coalesce_under_a_flush_deadline() {
-    let net = tiny_cnn(31);
-    let server = BatchServer::compile(
-        &net,
-        ServeConfig {
-            workers: 1,
-            max_batch: 8,
-            // Long enough that the 8 sub-millisecond submits below land
-            // well inside the first batch's fill window.
-            flush_deadline: Duration::from_millis(500),
-            queue_capacity: 64,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("compiles");
-    let pending: Vec<Pending> =
-        (0..8).map(|j| server.submit(&item(0, j)).expect("accepting")).collect();
-    for p in pending {
-        p.wait().expect("serving");
-    }
-    let stats = server.stats();
-    assert_eq!(stats.items, 8);
-    assert!(stats.batches < 8, "no coalescing happened: {stats:?}");
-    assert!(stats.largest_batch >= 2, "{stats:?}");
-    assert!(stats.mean_batch() > 1.0, "{stats:?}");
-}
-
-#[test]
 fn mixed_shape_requests_batch_separately_and_correctly() {
     // A ReLU-only stack accepts any item shape, so one server can see
     // heterogeneous requests; batches must only coalesce same-shape runs.
     let net = Network::new("relu-only").push(Relu);
     let server = BatchServer::compile(
         &net,
-        ServeConfig {
-            workers: 2,
-            max_batch: 4,
-            flush_deadline: Duration::from_micros(100),
-            queue_capacity: 32,
-            ..ServeConfig::default()
-        },
+        ServeConfig { workers: 2, max_batch: 4, queue_capacity: 32, ..ServeConfig::default() },
     )
     .expect("relu compiles");
     let shapes: [&[usize]; 2] = [&[2, 3], &[5]];
@@ -320,13 +256,7 @@ fn execution_failure_is_contained_to_its_batch() {
     let net = tiny_cnn(41);
     let server = BatchServer::compile(
         &net,
-        ServeConfig {
-            workers: 1,
-            max_batch: 1,
-            flush_deadline: Duration::ZERO,
-            queue_capacity: 8,
-            ..ServeConfig::default()
-        },
+        ServeConfig { workers: 1, max_batch: 1, queue_capacity: 8, ..ServeConfig::default() },
     )
     .expect("compiles");
     // Wrong spatial size: the plan's shape inference rejects it.
@@ -343,41 +273,4 @@ fn execution_failure_is_contained_to_its_batch() {
     let stats = server.stats();
     assert_eq!(stats.failed_batches, 1);
     assert_eq!(stats.items, 1);
-}
-
-#[test]
-fn one_nanosecond_flush_deadline_is_stable_and_bit_identical() {
-    // Regression: a ~1 ns flush deadline makes essentially every deadline
-    // wait arrive already expired (`now >= until` on entry) and pins the
-    // adaptive policy at its floor. The worker loop must handle that with
-    // saturating deadline arithmetic — no panic, no missed wakeup, no
-    // spin that starves submitters — while the bit-identity contract
-    // holds under the usual adversarial schedule. Runs in CI's
-    // `--test-threads {1,4}` conformance matrix.
-    assert_conformance(
-        None,
-        ServeConfig {
-            workers: 2,
-            max_batch: 8,
-            flush_deadline: Duration::from_nanos(1),
-            flush_deadline_min: Duration::from_nanos(1),
-            queue_capacity: 4, // small enough that backpressure engages too
-            default_deadline: None,
-            ..ServeConfig::default()
-        },
-        "1ns-deadline",
-    );
-    assert_conformance(
-        Some(MultiplierKind::AxFpm),
-        ServeConfig {
-            workers: 3,
-            max_batch: 4,
-            flush_deadline: Duration::from_nanos(1),
-            flush_deadline_min: Duration::from_nanos(1),
-            queue_capacity: 4,
-            default_deadline: None,
-            ..ServeConfig::default()
-        },
-        "1ns-deadline-axfpm",
-    );
 }

@@ -15,7 +15,6 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 use da_arith::MultiplierKind;
 use da_nn::engine::InferencePlan;
@@ -141,13 +140,7 @@ fn served_snapshot_matches_serial_plan() {
 
     let server = BatchServer::from_snapshot(
         &path,
-        ServeConfig {
-            workers: 3,
-            max_batch: 4,
-            flush_deadline: Duration::from_millis(2),
-            queue_capacity: 16,
-            ..ServeConfig::default()
-        },
+        ServeConfig { workers: 3, max_batch: 4, queue_capacity: 16, ..ServeConfig::default() },
     )
     .expect("snapshot serves");
     let pending: Vec<_> =

@@ -5,9 +5,9 @@
 //! ```
 //!
 //! Deploys a LeNet-5 on the paper's Ax-FPM multiplier and stands up a
-//! `da_nn::serve::BatchServer`: client threads submit single samples, the
-//! server coalesces them into micro-batches and executes them on a shard
-//! pool of compiled `InferencePlan` replicas. The demo then verifies the
+//! `da_nn::serve::BatchServer`: client threads submit single samples, and
+//! each free worker takes whatever has queued (up to `max_batch`) as one
+//! micro-batch and executes it on its compiled `InferencePlan` replica. The demo then verifies the
 //! serving contract end to end:
 //!
 //! 1. every concurrently served logits row is **bit-identical** to a serial
@@ -20,7 +20,7 @@
 //!    (`BatchServer::from_snapshot`) with the measured cold-start delta
 //!    printed; see `examples/snapshot.rs` for the warm-pool workflow.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use defensive_approximation::arith::MultiplierKind;
 use defensive_approximation::datasets::digits::synth_digits;
@@ -38,18 +38,13 @@ fn main() {
     let mut net = lenet5(10, &mut rng);
     net.set_multiplier(Some(MultiplierKind::AxFpm.build()));
 
-    let config = ServeConfig {
-        max_batch: 8,
-        flush_deadline: Duration::from_micros(500),
-        ..ServeConfig::default()
-    };
+    let config = ServeConfig { max_batch: 8, ..ServeConfig::default() };
     println!("== Defensive Approximation batch serving ==");
     println!(
-        "LeNet-5 on {} | {} workers, max_batch {}, flush deadline {:?}, queue {}",
+        "LeNet-5 on {} | {} workers, max_batch {} (batches are whatever queued), queue {}",
         MultiplierKind::AxFpm,
         config.workers,
         config.max_batch,
-        config.flush_deadline,
         config.queue_capacity
     );
 

@@ -300,8 +300,8 @@ fn main() {
     );
     println!(
         "server: {batches} batches / {items} items (mean batch {mean_batch:.2}), \
-         flush deadline now {} ns, generation {}, restarts {}, expired {}",
-        stats.flush_deadline_ns, stats.generation, stats.worker_restarts, stats.deadline_expired
+         generation {}, restarts {}, expired {}",
+        stats.generation, stats.worker_restarts, stats.deadline_expired
     );
 
     // CI's SIGHUP-reload smoke: every request above already had to succeed

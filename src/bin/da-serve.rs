@@ -53,12 +53,6 @@ fn main() {
             "--workers" => serve.workers = parse(&value("a count")),
             "--max-batch" => serve.max_batch = parse(&value("a count")),
             "--queue" => serve.queue_capacity = parse(&value("a count")),
-            "--flush-deadline-us" => {
-                serve.flush_deadline = Duration::from_micros(parse(&value("µs")))
-            }
-            "--flush-deadline-min-us" => {
-                serve.flush_deadline_min = Duration::from_micros(parse(&value("µs")))
-            }
             "--default-deadline-us" => {
                 serve.default_deadline = Some(Duration::from_micros(parse(&value("µs"))))
             }
@@ -169,7 +163,6 @@ fn install_sighup(handle: defensive_approximation::nn::net::NetHandle) {
 #[cfg(unix)]
 const USAGE: &str = "usage: da-serve [--snapshot PATH] [--addr HOST:PORT] [--demo-snapshot]
                 [--workers N] [--max-batch N] [--queue N]
-                [--flush-deadline-us N] [--flush-deadline-min-us N]
                 [--default-deadline-us N] [--max-frame BYTES]
                 [--max-inflight N] [--max-conns N] [--idle-timeout-ms N]
                 [--reload-path PATH]
